@@ -1,7 +1,7 @@
 //! Convolution-engine benchmarks: the tiered kernels of `didt-dsp`
 //! (reference, blocked time-domain, FFT overlap-save, auto dispatch)
 //! across the signal-length × tap-count shapes sweeps actually hit.
-//! The CI-facing numbers live in `perf_report` / `BENCH_pr3.json`;
+//! The CI-facing numbers live in `perf_report` / `BENCH_pr10.json`;
 //! these benches are for local kernel work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

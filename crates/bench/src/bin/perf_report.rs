@@ -10,18 +10,20 @@
 //! parallel, checking the results stay bit-identical), the batch
 //! execution layer (each lockstep 4-lane kernel against a scalar loop
 //! over the same four traces, with all-lane bit-identity verified),
-//! and the scheduler skew benchmark (the work-stealing core against
-//! the pack scheduler on uniform, Zipf-skewed and mixed live+replay
-//! shapes — DESIGN.md §16), then writes a `BENCH_pr10.json`
-//! machine-readable report at the current directory (override the
-//! path with `DIDT_BENCH_OUT`). CI runs `perf_report --smoke` on every
-//! push and diffs the smoke report against the committed reference
-//! with `bench_diff`; the headline metrics are the `fir_filter_auto`
-//! speedup over `fir_filter` at N = 1 M, K = 1024, the simulator's
-//! cycles/s against the pinned PR 4 and PR 5 baselines, the
-//! batched-kernel speedups, and the skew shapes' steal-over-pack
-//! ratios. The detected CPU feature set rides along in both the JSON
-//! and the manifest so cross-host numbers are interpretable.
+//! and the scheduler skew benchmark (the experiment runner's claim
+//! cursor on uniform, Zipf-skewed and mixed live+replay shapes —
+//! DESIGN.md §16), then writes a machine-readable report to
+//! `results/bench/perf_report.json` (override the path with
+//! `DIDT_BENCH_OUT`; refreshing the committed `BENCH_pr10.json`
+//! reference takes an explicit `DIDT_BENCH_OUT=BENCH_pr10.json`). CI
+//! runs `perf_report --smoke` on every push and diffs the smoke report
+//! against the committed reference with `bench_diff`; the headline
+//! metrics are the `fir_filter_auto` speedup over `fir_filter` at
+//! N = 1 M, K = 1024, the simulator's cycles/s against the pinned PR 4
+//! and PR 5 baselines, the batched-kernel speedups, and the sleep skew
+//! shapes' schedule efficiency against the makespan lower bound. The
+//! detected CPU feature set rides along in both the JSON and the
+//! manifest so cross-host numbers are interpretable.
 //!
 //! Like every experiment binary it also emits a run manifest — but all
 //! wall-clock figures live only in the BENCH JSON, never in manifest
@@ -31,7 +33,7 @@ use std::time::Instant;
 
 use didt_bench::{
     ControllerSpec, CostClass, Experiment, ExperimentRunner, PointResult, RunParams, SchedReport,
-    Scheduler, Sweep, SweepContext, SweepPoint, TextTable,
+    Sweep, SweepContext, SweepPoint, TextTable,
 };
 use didt_core::characterize::{EmergencyEstimator, VarianceModel};
 use didt_core::control::{ClosedLoop, ClosedLoopConfig, NoControl};
@@ -47,7 +49,7 @@ use didt_dsp::{
     WaveletDecomposition, WaveletFamily, DEFAULT_LANES,
 };
 use didt_stats::{lag_correlation, mean, variance};
-use didt_telemetry::{discover_git_sha, Json};
+use didt_telemetry::{discover_git_sha, write_bench_report, Json};
 use didt_uarch::Benchmark;
 
 /// The headline shape of the acceptance criterion: offline trace
@@ -60,10 +62,11 @@ const HEADLINE: (usize, usize) = (1 << 20, 1024);
 /// sim section reports its speedup against this pin.
 const PR4_SIM_BASELINE_CYCLES_PER_SEC: f64 = 2.302e6;
 
-/// Serial `ClosedLoop::run` throughput pinned by the committed
-/// `BENCH_pr5.json` (its `sim.serial_cycles_per_sec`), in cycles/s —
-/// the event-driven kernel of PR 5 on the reference machine. The sim
-/// section reports its speedup against this pin alongside the PR 4 one.
+/// Serial `ClosedLoop::run` throughput of the PR 5 full-run report
+/// (its `sim.serial_cycles_per_sec`; README trajectory row 5), in
+/// cycles/s — the event-driven kernel of PR 5 on the reference
+/// machine. The sim section reports its speedup against this pin
+/// alongside the PR 4 one.
 const PR5_SIM_BASELINE_CYCLES_PER_SEC: f64 = 8.069e6;
 
 /// Worker threads for the parallel leg of the sim-throughput grid.
@@ -79,34 +82,33 @@ const BATCH_TARGET: f64 = 3.0;
 /// *schedule* (who holds which points), not raw compute.
 const SKEW_WORKERS: usize = 8;
 
-/// Wall-clock speedup the steal scheduler must show over the pack
-/// scheduler on the Zipf-skewed shape (full run; `bench_diff` holds
-/// the smoke run to a looser 1.5 floor).
-const SKEW_ZIPF_TARGET: f64 = 1.8;
+/// Floor on the sleep shapes' schedule efficiency (makespan lower
+/// bound over measured wall time) on a full run; `bench_diff` holds a
+/// smoke run to a looser floor.
+const SKEW_EFFICIENCY_FLOOR: f64 = 0.8;
 
-/// Relative band within which pack and steal must agree on the
-/// uniform shape (full run): stealing must be free when there is
-/// nothing to steal.
-const SKEW_UNIFORM_BAND: f64 = 0.03;
-
-/// One shape of the scheduler skew benchmark: the same point set timed
-/// under the pack and steal schedulers.
+/// One shape of the scheduler skew benchmark: a point set timed on the
+/// runner against its serial reference.
 struct SkewRow {
     shape: &'static str,
     points: usize,
-    pack_ms: f64,
-    steal_ms: f64,
-    /// Results bit-identical across serial, pack and steal.
+    /// Best-of-N wall time on `SKEW_WORKERS` workers.
+    ms: f64,
+    /// Makespan lower bound `max(max cost, Σcost / workers)` for the
+    /// sleep shapes, whose costs are known; `None` for real compute.
+    lower_bound_ms: Option<f64>,
+    /// Results bit-identical to the serial run.
     identical: bool,
-    /// The steal run's scheduler observations.
+    /// The best run's scheduler observations.
     report: SchedReport,
-    /// p50/p95/p99 over the steal run's per-point execution times.
+    /// p50/p95/p99 over the best run's per-point execution times.
     latency_ns: (u64, u64, u64),
 }
 
 impl SkewRow {
-    fn speedup(&self) -> f64 {
-        self.pack_ms / self.steal_ms
+    /// Lower bound over measured wall time: 1.0 is a perfect schedule.
+    fn efficiency(&self) -> Option<f64> {
+        self.lower_bound_ms.map(|lb| lb / self.ms)
     }
 }
 
@@ -822,24 +824,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // 7. Scheduler skew benchmark: the work-stealing core against the
-    //    pack scheduler on three shapes (DESIGN.md §16). The synthetic
-    //    shapes sleep for their hinted cost, so the wall clock isolates
-    //    scheduling; the mixed shape re-runs real live + replay points.
-    //    The pack leg pins `width: 8` explicitly so the measurement is
-    //    invariant under `DIDT_BATCH_LANES` (CI runs a scalar leg).
+    // 7. Scheduler skew benchmark: the runner's claim cursor on three
+    //    shapes (DESIGN.md §16). The synthetic shapes sleep for their
+    //    hinted cost, so the wall clock isolates scheduling and can be
+    //    held against the makespan lower bound; the mixed shape re-runs
+    //    real live + replay points and checks bit-identity only.
     // ------------------------------------------------------------------
     let mut skew_rows: Vec<SkewRow> = Vec::new();
     let mut skew_total = SchedReport::default();
-    let pack8 = Scheduler::Pack { width: 8 };
+    let skew_runner = ExperimentRunner::with_threads(SKEW_WORKERS);
 
     // A synthetic shape: run once serially for the reference results,
-    // then min-of-5 under each scheduler with the legs interleaved
-    // rep by rep (pack, steal, pack, steal, …) — sequential legs let
-    // slow drift on a shared host masquerade as a scheduler delta at
-    // the few-percent level the uniform parity gate cares about. Jobs
-    // sleep for the hinted cost and return a value derived only from
-    // (index, point).
+    // then min-of-5 on the runner. Jobs sleep for the hinted cost (µs)
+    // and return a value derived only from (index, point).
     let sleep_value = |i: usize, c: u64| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ c;
     let mut run_sleep_shape = |name: &'static str, costs: &[u64], cost: CostClass<u64>| {
         let job = |i: usize, c: &u64| {
@@ -849,49 +846,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let strip = |r: &[(u64, u64)]| r.iter().map(|&(v, _)| v).collect::<Vec<u64>>();
         let serial = strip(&ExperimentRunner::serial().run_costed(costs, cost, job));
-        let pack_runner = ExperimentRunner::with_threads(SKEW_WORKERS).with_scheduler(pack8);
-        let steal_runner =
-            ExperimentRunner::with_threads(SKEW_WORKERS).with_scheduler(Scheduler::Steal);
-        let mut pack_ms = f64::INFINITY;
-        let mut steal_ms = f64::INFINITY;
-        let mut pack_results: Vec<(u64, u64)> = Vec::new();
-        let mut steal_best: (Vec<(u64, u64)>, SchedReport) = (Vec::new(), SchedReport::default());
+        let mut ms = f64::INFINITY;
+        let mut best: (Vec<(u64, u64)>, SchedReport) = (Vec::new(), SchedReport::default());
         for _ in 0..5 {
             let t0 = Instant::now();
-            let out = pack_runner.run_costed_reported(costs, cost, job);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if ms < pack_ms {
-                pack_ms = ms;
-                pack_results = out.0;
-            }
-            let t0 = Instant::now();
-            let out = steal_runner.run_costed_reported(costs, cost, job);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if ms < steal_ms {
-                steal_ms = ms;
-                steal_best = out;
+            let out = skew_runner.run_costed_reported(costs, cost, job);
+            let elapsed = t0.elapsed().as_secs_f64() * 1e3;
+            if elapsed < ms {
+                ms = elapsed;
+                best = out;
             }
         }
-        let (steal_results, report) = steal_best;
-        let identical = strip(&pack_results) == serial && strip(&steal_results) == serial;
-        let latency_ns = latency_quantiles(steal_results.iter().map(|&(_, ns)| ns).collect());
+        let (results, report) = best;
+        let total_us: u64 = costs.iter().sum();
+        let max_us = costs.iter().copied().max().unwrap_or(0);
+        let lower_bound_us = (max_us as f64).max(total_us as f64 / SKEW_WORKERS as f64);
         skew_total.absorb(&report);
         skew_rows.push(SkewRow {
             shape: name,
             points: costs.len(),
-            pack_ms,
-            steal_ms,
-            identical,
+            ms,
+            lower_bound_ms: Some(lower_bound_us / 1e3),
+            identical: strip(&results) == serial,
+            latency_ns: latency_quantiles(results.iter().map(|&(_, ns)| ns).collect()),
             report,
-            latency_ns,
         });
     };
 
-    // 7a. Uniform grid: every point costs the same; stealing must be
-    //     free when there is nothing to steal. Point counts are
-    //     multiples of `workers × 8` so the width-8 pack scheduler is
-    //     not starved by construction (that pathology is the zipf
-    //     shape's job to show).
+    // 7a. Uniform grid: every point costs the same, so the bound is
+    //     the per-worker share of the total.
     let uniform_costs: Vec<u64> = if smoke {
         vec![250; 64]
     } else {
@@ -899,10 +882,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     run_sleep_shape("uniform", &uniform_costs, CostClass::Uniform);
 
-    // 7b. Zipf-skewed costs, heaviest first: the first width-8 pack
-    //     serializes ~57% of the total work on one worker, while
-    //     cost-aware chunks isolate the head points and thieves absorb
-    //     the tail.
+    // 7b. Zipf-skewed costs: the heaviest point alone bounds the
+    //     makespan, so the schedule must start it first and fill the
+    //     other workers with the tail around it.
     let (zipf_n, zipf_k) = if smoke {
         (32usize, 2_000u64)
     } else {
@@ -913,9 +895,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 7c. Mixed live + replay sweep: real compute, ragged costs. Live
     //     points are hinted by instruction count, replay points by
-    //     record count. No speedup gate — on a single-core host real
-    //     compute cannot overlap — but results must stay bit-identical
-    //     and the shape exercises the hint plumbing end to end.
+    //     record count. The hints are proxies, not times, so there is
+    //     no lower bound and no efficiency gate; results must stay
+    //     bit-identical and the shape exercises the hint plumbing end
+    //     to end.
     {
         struct MixedItem {
             point: SweepPoint,
@@ -1000,81 +983,60 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             CostClass::Hinted(mixed_cost),
             job,
         ));
-        // Interleaved min-of-2, same drift-cancelling discipline as
-        // the synthetic shapes.
-        let pack_runner = ExperimentRunner::with_threads(SKEW_WORKERS).with_scheduler(pack8);
-        let steal_runner =
-            ExperimentRunner::with_threads(SKEW_WORKERS).with_scheduler(Scheduler::Steal);
-        let mut pack_ms = f64::INFINITY;
-        let mut steal_ms = f64::INFINITY;
-        let mut pack_raw = Vec::new();
-        let mut steal_best = (Vec::new(), SchedReport::default());
+        let mut ms = f64::INFINITY;
+        let mut best = (Vec::new(), SchedReport::default());
         for _ in 0..2 {
             let t0 = Instant::now();
-            let out = pack_runner.run_costed_reported(&items, CostClass::Hinted(mixed_cost), job);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if ms < pack_ms {
-                pack_ms = ms;
-                pack_raw = out.0;
-            }
-            let t0 = Instant::now();
-            let out = steal_runner.run_costed_reported(&items, CostClass::Hinted(mixed_cost), job);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if ms < steal_ms {
-                steal_ms = ms;
-                steal_best = out;
+            let out = skew_runner.run_costed_reported(&items, CostClass::Hinted(mixed_cost), job);
+            let elapsed = t0.elapsed().as_secs_f64() * 1e3;
+            if elapsed < ms {
+                ms = elapsed;
+                best = out;
             }
         }
-        let (steal_raw, report) = steal_best;
-        let (pack_results, _) = strip(pack_raw);
-        let (steal_results, steal_ns) = strip(steal_raw);
-        let identical = pack_results == serial && steal_results == serial;
-        let latency_ns = latency_quantiles(steal_ns);
+        let (raw, report) = best;
+        let (results, ns) = strip(raw);
         skew_total.absorb(&report);
         skew_rows.push(SkewRow {
             shape: "mixed_live_replay",
             points: items.len(),
-            pack_ms,
-            steal_ms,
-            identical,
+            ms,
+            lower_bound_ms: None,
+            identical: results == serial,
             report,
-            latency_ns,
+            latency_ns: latency_quantiles(ns),
         });
     }
 
     let mut kt = TextTable::new(&[
         "skew shape",
         "points",
-        "pack ms",
-        "steal ms",
-        "speedup",
-        "steals hit",
+        "ms",
+        "bound ms",
+        "efficiency",
         "identical",
     ]);
+    let fmt_opt =
+        |v: Option<f64>, digits: usize| v.map_or("-".to_string(), |x| format!("{x:.digits$}"));
     for r in &skew_rows {
         kt.row_owned(vec![
             r.shape.to_string(),
             r.points.to_string(),
-            format!("{:.2}", r.pack_ms),
-            format!("{:.2}", r.steal_ms),
-            format!("{:.2}x", r.speedup()),
-            format!("{}/{}", r.report.steal_hits, r.report.steal_attempts),
+            format!("{:.2}", r.ms),
+            fmt_opt(r.lower_bound_ms, 2),
+            fmt_opt(r.efficiency(), 3),
             r.identical.to_string(),
         ]);
     }
     println!("{}", kt.render());
     let skew_identical = skew_rows.iter().all(|r| r.identical);
-    let uniform_row = &skew_rows[0];
-    let zipf_row = &skew_rows[1];
-    let mixed_row = &skew_rows[2];
-    let uniform_ratio = uniform_row.speedup();
-    let uniform_parity = (uniform_ratio - 1.0).abs() <= SKEW_UNIFORM_BAND;
+    let uniform_efficiency = skew_rows[0].efficiency().unwrap_or(0.0);
+    let zipf_efficiency = skew_rows[1].efficiency().unwrap_or(0.0);
+    let skew_meets_floor =
+        uniform_efficiency >= SKEW_EFFICIENCY_FLOOR && zipf_efficiency >= SKEW_EFFICIENCY_FLOOR;
     println!(
-        "skew: zipf {:.2}x (target {SKEW_ZIPF_TARGET}x), uniform ratio {:.3} \
-         (band ±{SKEW_UNIFORM_BAND}), mixed {:.2}x, all bit-identical: {skew_identical}\n",
-        zipf_row.speedup(),
-        uniform_ratio,
-        mixed_row.speedup()
+        "skew: efficiency zipf {zipf_efficiency:.3}, uniform {uniform_efficiency:.3} \
+         (full-run floor {SKEW_EFFICIENCY_FLOOR}), all bit-identical: {skew_identical}\n"
     );
     exp.scheduler(&skew_total);
     exp.golden("skew_identical", f64::from(u8::from(skew_identical)));
@@ -1276,20 +1238,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         skew_rows
                             .iter()
                             .map(|r| {
+                                let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
                                 Json::obj(vec![
                                     ("shape", Json::str(r.shape)),
                                     ("points", Json::Num(r.points as f64)),
-                                    ("pack_ms", Json::Num(r.pack_ms)),
-                                    ("steal_ms", Json::Num(r.steal_ms)),
-                                    ("speedup", Json::Num(r.speedup())),
+                                    ("ms", Json::Num(r.ms)),
+                                    ("lower_bound_ms", opt(r.lower_bound_ms)),
+                                    ("efficiency", opt(r.efficiency())),
                                     ("bit_identical", Json::Bool(r.identical)),
-                                    ("chunks", Json::Num(r.report.chunks as f64)),
-                                    ("steal_attempts", Json::Num(r.report.steal_attempts as f64)),
-                                    ("steal_hits", Json::Num(r.report.steal_hits as f64)),
-                                    (
-                                        "deque_max_depth",
-                                        Json::Num(r.report.deque_max_depth as f64),
-                                    ),
                                     (
                                         "busy_fractions",
                                         Json::Arr(
@@ -1313,24 +1269,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                             .collect(),
                     ),
                 ),
-                ("zipf_speedup", Json::Num(zipf_row.speedup())),
-                ("zipf_target", Json::Num(SKEW_ZIPF_TARGET)),
-                (
-                    "zipf_meets_target",
-                    Json::Bool(!smoke && zipf_row.speedup() >= SKEW_ZIPF_TARGET),
-                ),
-                ("uniform_ratio", Json::Num(uniform_ratio)),
-                ("uniform_band", Json::Num(SKEW_UNIFORM_BAND)),
-                ("uniform_parity", Json::Bool(smoke || uniform_parity)),
-                ("mixed_speedup", Json::Num(mixed_row.speedup())),
+                ("zipf_efficiency", Json::Num(zipf_efficiency)),
+                ("uniform_efficiency", Json::Num(uniform_efficiency)),
+                ("efficiency_floor", Json::Num(SKEW_EFFICIENCY_FLOOR)),
+                ("meets_floor", Json::Bool(!smoke && skew_meets_floor)),
                 ("identical", Json::Bool(skew_identical)),
             ]),
         ),
     ]);
-    let out_path =
-        std::env::var("DIDT_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr10.json".to_string());
-    std::fs::write(&out_path, report.render() + "\n")?;
-    println!("bench report: {out_path}");
+    let out_path = write_bench_report("perf_report", &report)?;
+    println!("bench report: {}", out_path.display());
     exp.finish()?;
 
     if !identical {
@@ -1340,7 +1288,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err("a batched kernel lane diverged bitwise from the scalar path".into());
     }
     if !skew_identical {
-        return Err("a skew-benchmark scheduler diverged bitwise from the serial run".into());
+        return Err("a skew-benchmark run diverged bitwise from the serial run".into());
     }
     Ok(())
 }

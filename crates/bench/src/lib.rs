@@ -10,15 +10,13 @@
 pub mod experiments;
 pub mod observe;
 pub mod runner;
-pub mod steal;
 pub mod table;
 
 pub use experiments::{benchmark_trace, standard_system, TRACE_CYCLES, TRACE_WARMUP};
 pub use observe::Experiment;
 pub use runner::{
     capture_records, default_threads, pct_millis, point_seed, with_worker_scratch, workload_seed,
-    CacheStats, ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, MemoStats,
-    PointResult, RunParams, Sweep, SweepContext, SweepPoint, WorkerScratch,
+    CacheStats, ControllerSpec, CostClass, ExperimentRunner, GainSnapshotEntry, MemoCache,
+    MemoStats, PointResult, RunParams, SchedReport, Sweep, SweepContext, SweepPoint, WorkerScratch,
 };
-pub use steal::{CostClass, SchedReport, Scheduler, SplitMix64, StealDeques};
 pub use table::TextTable;

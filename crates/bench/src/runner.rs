@@ -29,8 +29,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::steal::{CostClass, SchedReport, Scheduler, SplitMix64, StealDeques};
-
 use didt_core::characterize::ScaleGainModel;
 use didt_core::control::{
     ClosedLoop, ClosedLoopConfig, ClosedLoopResult, DidtController, NoControl, PipelineDamping,
@@ -417,18 +415,105 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// Histogram: per-worker busy nanoseconds (one sample per worker per
+/// run).
+pub const WORKER_BUSY_NS_HISTOGRAM: &str = "runner.worker.busy_ns";
+
+/// Per-point cost class, deciding the order in which workers claim
+/// points.
+///
+/// `Uniform` claims in index order. `Hinted` supplies a relative cost
+/// per point — any monotone proxy works (trace length for replay
+/// points, instruction count for sim points) — and workers claim the
+/// heaviest points first. Hints only order the claims; results never
+/// depend on their accuracy.
+pub enum CostClass<P> {
+    /// Every point costs the same.
+    Uniform,
+    /// Relative per-point cost from a hint function.
+    Hinted(fn(&P) -> u64),
+}
+
+impl<P> Clone for CostClass<P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for CostClass<P> {}
+
+/// The order in which workers claim `points`: index order for
+/// [`CostClass::Uniform`]; for [`CostClass::Hinted`], heaviest hint
+/// first with ties kept in index order (a stable sort — LPT list
+/// scheduling, within 4/3 of the optimal makespan).
+fn claim_order<P>(points: &[P], cost: CostClass<P>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    if let CostClass::Hinted(hint) = cost {
+        order.sort_by_key(|&i| std::cmp::Reverse(hint(&points[i])));
+    }
+    order
+}
+
+/// What one run of the pool did, for manifests and the skew
+/// benchmark. Busy time varies with the claim interleaving, never with
+/// results, so the manifest stores it outside the non-timing
+/// fingerprint.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SchedReport {
+    /// Workers that ran (after clamping to the point count).
+    pub workers: usize,
+    /// Busy (job-executing) nanoseconds per worker, indexed by worker.
+    pub worker_busy_ns: Vec<u64>,
+}
+
+impl SchedReport {
+    /// Fold another run's observations into this one (used by drivers
+    /// that invoke the runner repeatedly, e.g. `storm_report`).
+    pub fn absorb(&mut self, other: &SchedReport) {
+        self.workers = self.workers.max(other.workers);
+        if self.worker_busy_ns.len() < other.worker_busy_ns.len() {
+            self.worker_busy_ns.resize(other.worker_busy_ns.len(), 0);
+        }
+        for (acc, &ns) in self.worker_busy_ns.iter_mut().zip(&other.worker_busy_ns) {
+            *acc += ns;
+        }
+    }
+
+    /// Per-worker busy fractions against the busiest worker (1.0 =
+    /// the straggler; uniform ≈ all near 1.0). Empty when no worker
+    /// recorded busy time.
+    #[must_use]
+    pub fn busy_fractions(&self) -> Vec<f64> {
+        let max = self.worker_busy_ns.iter().copied().max().unwrap_or(0);
+        if max == 0 {
+            return Vec::new();
+        }
+        self.worker_busy_ns
+            .iter()
+            .map(|&ns| ns as f64 / max as f64)
+            .collect()
+    }
+
+    /// Record each worker's busy time in the global metrics registry.
+    pub fn publish(&self) {
+        let busy = didt_telemetry::MetricsRegistry::global().histogram(WORKER_BUSY_NS_HISTOGRAM);
+        for &ns in &self.worker_busy_ns {
+            busy.record(ns);
+        }
+    }
+}
+
 /// A fixed-width worker pool mapping a job over a slice of points.
 ///
-/// Scheduling is work-stealing by default (per-worker deques seeded by
-/// a cost-aware blocked partition, steal-half on drain — see
-/// [`crate::steal`]); `DIDT_SCHEDULER=pack` restores the PR 1–9
-/// atomic-counter pack scheduler. Either way every result is stored at
-/// its point's index, so the output `Vec` is identical for any thread
-/// count (including 1), any scheduler and any steal interleaving.
+/// Workers share one claim cursor (an `AtomicUsize`) over the claim
+/// order (index order, or heaviest hint first; see [`CostClass`]) and
+/// take one point per claim, so a heavy point never holds lighter ones
+/// hostage behind it. Every result is stored at its point's index, so
+/// the output `Vec` is identical for any thread count (including 1) and
+/// any claim interleaving.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentRunner {
     threads: usize,
-    scheduler: Scheduler,
 }
 
 impl Default for ExperimentRunner {
@@ -438,23 +523,16 @@ impl Default for ExperimentRunner {
 }
 
 impl ExperimentRunner {
-    /// A runner sized by [`default_threads`], scheduled per
-    /// `DIDT_SCHEDULER` (work-stealing unless overridden).
+    /// A runner sized by [`default_threads`].
     #[must_use]
     pub fn from_env() -> Self {
-        ExperimentRunner {
-            threads: default_threads(),
-            scheduler: Scheduler::from_env(),
-        }
+        ExperimentRunner::with_threads(default_threads())
     }
 
     /// A single-threaded runner (the reference ordering).
     #[must_use]
     pub fn serial() -> Self {
-        ExperimentRunner {
-            threads: 1,
-            scheduler: Scheduler::from_env(),
-        }
+        ExperimentRunner::with_threads(1)
     }
 
     /// A runner with an explicit worker count (min 1).
@@ -462,16 +540,7 @@ impl ExperimentRunner {
     pub fn with_threads(threads: usize) -> Self {
         ExperimentRunner {
             threads: threads.max(1),
-            scheduler: Scheduler::from_env(),
         }
-    }
-
-    /// Same runner with an explicit scheduler (A/B benchmarking; the
-    /// skew section of `perf_report` races pack against steal).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Worker count.
@@ -480,15 +549,9 @@ impl ExperimentRunner {
         self.threads
     }
 
-    /// Scheduling substrate.
-    #[must_use]
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// Run `job(index, &point)` over every point, returning results in
-    /// point order. Uniform-cost scheduling; see [`Self::run_costed`]
-    /// for hinted grids.
+    /// point order. Points are claimed in index order; see
+    /// [`Self::run_costed`] for hinted grids.
     pub fn run<P, R, F>(&self, points: &[P], job: F) -> Vec<R>
     where
         P: Sync,
@@ -498,10 +561,9 @@ impl ExperimentRunner {
         self.run_costed(points, CostClass::Uniform, job)
     }
 
-    /// [`Self::run`] with a per-point cost hint driving the initial
-    /// chunk partition (work-stealing only; the pack scheduler ignores
-    /// hints). Hints never affect results — only which worker runs
-    /// which point.
+    /// [`Self::run`] with a per-point cost hint deciding the claim
+    /// order (heaviest first). Hints never affect results — only which
+    /// worker runs which point.
     pub fn run_costed<P, R, F>(&self, points: &[P], cost: CostClass<P>, job: F) -> Vec<R>
     where
         P: Sync,
@@ -511,10 +573,9 @@ impl ExperimentRunner {
         self.run_costed_reported(points, cost, job).0
     }
 
-    /// [`Self::run_costed`] that also returns what the scheduler did
-    /// (steal counts, per-worker busy time) for manifests and the skew
-    /// benchmark. Counters are also published to the global metrics
-    /// registry.
+    /// [`Self::run_costed`] that also returns each worker's busy time
+    /// for manifests and the skew benchmark. Busy times are also
+    /// published to the global metrics registry.
     pub fn run_costed_reported<P, R, F>(
         &self,
         points: &[P],
@@ -530,207 +591,43 @@ impl ExperimentRunner {
             return (Vec::new(), SchedReport::default());
         }
         let workers = self.threads.min(points.len());
-        let (results, report) = if workers <= 1 {
-            let t0 = std::time::Instant::now();
-            let results = points.iter().enumerate().map(|(i, p)| job(i, p)).collect();
-            let report = SchedReport {
-                scheduler: "serial",
-                workers: 1,
-                worker_busy_ns: vec![t0.elapsed().as_nanos() as u64],
-                ..SchedReport::default()
-            };
-            (results, report)
-        } else {
-            match self.scheduler {
-                Scheduler::Pack { width } => run_pack(points, workers, width, &job),
-                Scheduler::Steal => run_steal(points, workers, cost, &job),
+        let order = claim_order(points, cost);
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut local = Vec::new();
+            let mut busy_ns = 0u64;
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let t0 = std::time::Instant::now();
+                local.push((i, job(i, &points[i])));
+                busy_ns += t0.elapsed().as_nanos() as u64;
             }
+            (local, busy_ns)
         };
+        let per_worker: Vec<(Vec<(usize, R)>, u64)> = if workers == 1 {
+            vec![work()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked"))
+                    .collect()
+            })
+        };
+        let mut report = SchedReport {
+            workers,
+            worker_busy_ns: Vec::with_capacity(workers),
+        };
+        let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
+        for (local, busy_ns) in per_worker {
+            report.worker_busy_ns.push(busy_ns);
+            indexed.extend(local);
+        }
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert_eq!(indexed.len(), points.len());
         report.publish();
-        (results, report)
+        (indexed.into_iter().map(|(_, r)| r).collect(), report)
     }
-}
-
-/// PR 1–9 scheduler: a shared atomic counter hands out fixed-width
-/// packs of consecutive points. The claim is clamped to the point
-/// count (a bare `fetch_add` could overshoot `points.len()` and leave
-/// the final worker claiming an empty range — see the 1-point /
-/// 8-thread regression test).
-fn run_pack<P, R, F>(points: &[P], workers: usize, width: usize, job: &F) -> (Vec<R>, SchedReport)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P) -> R + Sync,
-{
-    let pack = width.clamp(1, 8);
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, R)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let claim = next.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                            (v < points.len()).then(|| (v + pack).min(points.len()))
-                        });
-                        let Ok(i0) = claim else { break };
-                        let end = (i0 + pack).min(points.len());
-                        let t0 = std::time::Instant::now();
-                        for (i, point) in points.iter().enumerate().take(end).skip(i0) {
-                            local.push((i, job(i, point)));
-                        }
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    (local, busy_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut report = SchedReport {
-        scheduler: "pack",
-        workers,
-        ..SchedReport::default()
-    };
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
-    for (local, busy_ns) in per_worker {
-        report.worker_busy_ns.push(busy_ns);
-        indexed.extend(local);
-    }
-    indexed.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), points.len());
-    (indexed.into_iter().map(|(_, r)| r).collect(), report)
-}
-
-/// One steal worker's harvest: its executed points plus the scheduler
-/// observations that fold into the [`SchedReport`].
-struct StealWorkerOut<R> {
-    results: Vec<(usize, R)>,
-    attempts: u64,
-    hits: u64,
-    max_depth: u64,
-    busy_ns: u64,
-}
-
-/// Work-stealing scheduler (DESIGN.md §16): cost-aware chunks are
-/// dealt to per-worker LIFO deques by a deterministic blocked
-/// partition; a worker whose deque drains steals half of a
-/// splitmix64-chosen victim's deque. Workers exit when every point has
-/// been executed (a global remaining-count, decremented on execution,
-/// never on steal).
-fn run_steal<P, R, F>(
-    points: &[P],
-    workers: usize,
-    cost: CostClass<P>,
-    job: &F,
-) -> (Vec<R>, SchedReport)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P) -> R + Sync,
-{
-    let costs: Vec<u64> = points.iter().map(|p| cost.cost(p)).collect();
-    // Uniform points are batch-lane friendly, so chunk boundaries
-    // respect the lockstep group width; a cost hint declares the
-    // points heterogeneous (lockstep gains are gone anyway), so heavy
-    // regions may be split down to single points for balance.
-    let align = match cost {
-        CostClass::Uniform => crate::steal::pack_width(),
-        CostClass::Hinted(_) => 1,
-    };
-    let chunks = crate::steal::cost_chunks(&costs, workers, align);
-    let chunk_count = chunks.len();
-    let parts = crate::steal::blocked_partition(&chunks, &costs, workers);
-    let seed_depths: Vec<usize> = parts.iter().map(Vec::len).collect();
-    let deques: StealDeques<std::ops::Range<usize>> = StealDeques::new(workers);
-    for (w, part) in parts.into_iter().enumerate() {
-        deques.seed(w, part);
-    }
-    let remaining = AtomicUsize::new(points.len());
-    let per_worker: Vec<StealWorkerOut<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let deques = &deques;
-                let remaining = &remaining;
-                let seed_depth = seed_depths[me];
-                scope.spawn(move || {
-                    let mut rng = SplitMix64::for_worker(me);
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut attempts = 0u64;
-                    let mut hits = 0u64;
-                    let mut max_depth = seed_depth as u64;
-                    let mut busy_ns = 0u64;
-                    let mut misses = 0u32;
-                    loop {
-                        if let Some(chunk) = deques.pop(me) {
-                            misses = 0;
-                            let n = chunk.len();
-                            let t0 = std::time::Instant::now();
-                            for i in chunk {
-                                local.push((i, job(i, &points[i])));
-                            }
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                            remaining.fetch_sub(n, Ordering::AcqRel);
-                            continue;
-                        }
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        attempts += 1;
-                        let victim = rng.victim(me, workers);
-                        if deques.steal_half(me, victim) > 0 {
-                            hits += 1;
-                            max_depth = max_depth.max(deques.len(me) as u64);
-                            misses = 0;
-                            continue;
-                        }
-                        // All visible deques may be empty while peers
-                        // still execute their last chunks: back off so
-                        // idle thieves don't starve working peers
-                        // (matters on oversubscribed or small hosts).
-                        misses += 1;
-                        if misses < 8 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                    }
-                    StealWorkerOut {
-                        results: local,
-                        attempts,
-                        hits,
-                        max_depth,
-                        busy_ns,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut report = SchedReport {
-        scheduler: "steal",
-        workers,
-        chunks: chunk_count,
-        ..SchedReport::default()
-    };
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
-    for w in per_worker {
-        report.steal_attempts += w.attempts;
-        report.steal_hits += w.hits;
-        report.deque_max_depth = report.deque_max_depth.max(w.max_depth);
-        report.worker_busy_ns.push(w.busy_ns);
-        indexed.extend(w.results);
-    }
-    indexed.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), points.len());
-    (indexed.into_iter().map(|(_, r)| r).collect(), report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1701,30 +1598,28 @@ mod tests {
     }
 
     #[test]
-    fn pack_claim_never_overshoots_single_point_on_wide_pool() {
-        // Regression: the old `fetch_add(pack)` claim could run the
-        // counter past `points.len()`, leaving late workers claiming
-        // empty ranges. A 1-point sweep on 8 threads with an 8-wide
-        // pack is the worst case (workers = min(threads, points) = 1
-        // normally, so force the pack path through a 9-point grid too).
-        let pack8 = ExperimentRunner::with_threads(8).with_scheduler(Scheduler::Pack { width: 8 });
-        assert_eq!(pack8.run(&[41u8], |i, &p| (i, p)), vec![(0, 41)]);
+    fn claim_never_overshoots_single_point_on_wide_pool() {
+        // The shared cursor runs past `points.len()` as idle workers
+        // keep claiming; every over-the-end claim must come back empty.
+        let wide = ExperimentRunner::with_threads(8);
+        assert_eq!(wide.run(&[41u8], |i, &p| (i, p)), vec![(0, 41)]);
         let points: Vec<usize> = (0..9).collect();
-        let got = pack8.run(&points, |i, &p| i * 10 + p);
+        let got = wide.run(&points, |i, &p| i * 10 + p);
         assert_eq!(got, (0..9).map(|i| i * 11).collect::<Vec<_>>());
     }
 
     #[test]
-    fn pack_and_steal_schedulers_agree_bitwise() {
-        let points: Vec<usize> = (0..57).collect();
-        let serial = ExperimentRunner::serial().run(&points, |i, &p| i * 1000 + p);
-        for threads in [2, 5, 8] {
-            for scheduler in [Scheduler::Pack { width: 4 }, Scheduler::Steal] {
-                let runner = ExperimentRunner::with_threads(threads).with_scheduler(scheduler);
-                let got = runner.run(&points, |i, &p| i * 1000 + p);
-                assert_eq!(serial, got, "threads {threads} scheduler {scheduler:?}");
-            }
-        }
+    fn claim_order_is_identity_or_heaviest_first_with_index_ties() {
+        let points: Vec<u64> = vec![3, 9, 1, 9, 3, 0];
+        assert_eq!(
+            claim_order(&points, CostClass::Uniform),
+            vec![0, 1, 2, 3, 4, 5]
+        );
+        assert_eq!(
+            claim_order(&points, CostClass::Hinted(|&p: &u64| p)),
+            vec![1, 3, 0, 4, 2, 5]
+        );
+        assert!(claim_order(&[] as &[u64], CostClass::Hinted(|&p: &u64| p)).is_empty());
     }
 
     #[test]
@@ -1733,7 +1628,7 @@ mod tests {
         // never change what a sweep returns.
         let points: Vec<u64> = (0..41).collect();
         let serial = ExperimentRunner::serial().run(&points, |i, &p| (i as u64) << 32 | p);
-        let runner = ExperimentRunner::with_threads(8).with_scheduler(Scheduler::Steal);
+        let runner = ExperimentRunner::with_threads(8);
         let skewed = runner.run_costed(
             &points,
             CostClass::Hinted(|&p: &u64| 10_000 / (p + 1)),
@@ -1749,18 +1644,32 @@ mod tests {
     #[test]
     fn sched_report_accounts_for_all_work() {
         let points: Vec<usize> = (0..100).collect();
-        let runner = ExperimentRunner::with_threads(4).with_scheduler(Scheduler::Steal);
+        let runner = ExperimentRunner::with_threads(4);
         let (results, report) = runner.run_costed_reported(&points, CostClass::Uniform, |i, &p| {
             std::thread::sleep(std::time::Duration::from_micros(100));
             i + p
         });
         assert_eq!(results.len(), 100);
-        assert_eq!(report.scheduler, "steal");
         assert_eq!(report.workers, 4);
-        assert!(report.chunks >= 4, "chunks {}", report.chunks);
         assert_eq!(report.worker_busy_ns.len(), 4);
-        assert!(report.steal_hits <= report.steal_attempts);
         assert!(report.worker_busy_ns.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn sched_report_absorb_accumulates() {
+        let mut total = SchedReport::default();
+        let run = SchedReport {
+            workers: 4,
+            worker_busy_ns: vec![100, 200, 300, 400],
+        };
+        total.absorb(&run);
+        total.absorb(&run);
+        assert_eq!(total.workers, 4);
+        assert_eq!(total.worker_busy_ns, vec![200, 400, 600, 800]);
+        let fr = total.busy_fractions();
+        assert_eq!(fr.len(), 4);
+        assert!((fr[3] - 1.0).abs() < 1e-12);
+        assert!((fr[0] - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn note_dispatch() {
 }
 
 /// Bump the scalar-fallback counter. Public so batch *consumers*
-/// (sweep packing, the serve drain, the batched estimator) can account
+/// (such as the batched estimator) can account
 /// for their ragged remainders with the same counter the kernels use.
 pub fn note_scalar_fallback() {
     didt_telemetry::MetricsRegistry::global()

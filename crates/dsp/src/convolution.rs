@@ -563,9 +563,10 @@ mod tests {
 
     #[test]
     fn auto_tier_matches_reference_and_counts_dispatch() {
-        let metrics = didt_telemetry::MetricsRegistry::global();
-        let td_before = metrics.counter("dsp.fir_auto.time_domain").get();
-        let fft_before = metrics.counter("dsp.fir_auto.fft").get();
+        // Sibling tests call `fir_filter_auto` concurrently; a scoped
+        // registry counts only this thread's dispatches.
+        let scope = didt_telemetry::MetricsRegistry::scoped();
+        let metrics = scope.registry();
         // Short filter: time-domain tier.
         let x: Vec<f64> = (0..500).map(|i| (i as f64 * 0.2).sin()).collect();
         assert_close(
@@ -585,9 +586,9 @@ mod tests {
             1e-9,
             "auto long",
         );
-        let td_after = metrics.counter("dsp.fir_auto.time_domain").get();
-        let fft_after = metrics.counter("dsp.fir_auto.fft").get();
-        assert_eq!((td_after - td_before) + (fft_after - fft_before), 2);
+        let td = metrics.counter("dsp.fir_auto.time_domain").get();
+        let fft = metrics.counter("dsp.fir_auto.fft").get();
+        assert_eq!(td + fft, 2);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The experiment runner's core contracts: serial and parallel sweeps
-//! are bit-identical, results depend on point identity (never execution
+//! are bit-identical (also under adversarial cost skew and misleading
+//! cost hints), results depend on point identity (never execution
 //! order), shared cache entries compute exactly once under concurrency,
 //! and parallel execution actually buys wall-clock time on multi-core
-//! hosts.
+//! hosts. See DESIGN.md §16 for the determinism contract.
 
 use std::sync::Arc;
 
 use didt_bench::{
-    ControllerSpec, ExperimentRunner, MemoCache, PointResult, RunParams, Sweep, SweepContext,
-    SweepPoint,
+    ControllerSpec, CostClass, ExperimentRunner, MemoCache, PointResult, RunParams, Sweep,
+    SweepContext, SweepPoint,
 };
 use didt_uarch::Benchmark;
+use proptest::prelude::*;
 
 const RUN: RunParams = RunParams {
     instructions: 3_000,
@@ -247,4 +249,58 @@ fn parallel_sweep_speeds_up_on_multicore_hosts() {
         speedup >= 3.0,
         "expected >= 3x speedup on {cores} cores, measured {speedup:.2}x"
     );
+}
+
+/// Deterministic "compute" whose wall time scales with the cost hint:
+/// a busy-loop over a splitmix-style mixer so the optimizer cannot
+/// elide it and so the result depends only on `(index, point)`.
+fn spin_job(index: usize, cost: u64) -> u64 {
+    let mut acc = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ cost;
+    // Skewed points spin proportionally longer (bounded: cost < 2000).
+    for i in 0..(cost * 17 + 3) {
+        acc ^= acc >> 30;
+        acc = acc.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        acc = acc.wrapping_add(i);
+    }
+    acc
+}
+
+fn hint(p: &u64) -> u64 {
+    *p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Parallel ≡ serial for adversarial cost vectors: ragged lengths,
+    /// heavy skew (costs spanning 0..2000), 1–16 workers on whatever
+    /// cores the host has (oversubscription included).
+    #[test]
+    fn parallel_sweeps_match_serial_under_cost_skew(
+        costs in prop::collection::vec(0u64..2000, 1..120),
+        threads in 1usize..=16,
+    ) {
+        let serial = ExperimentRunner::serial()
+            .run_costed(&costs, CostClass::Hinted(hint), |i, p| spin_job(i, *p));
+        let parallel = ExperimentRunner::with_threads(threads)
+            .run_costed(&costs, CostClass::Hinted(hint), |i, p| spin_job(i, *p));
+        prop_assert_eq!(&serial, &parallel);
+    }
+
+    /// The cost hint orders claims only: a deliberately *wrong* hint
+    /// (inverse of the true cost) still yields bit-identical results.
+    #[test]
+    fn misleading_hints_change_schedule_not_results(
+        costs in prop::collection::vec(1u64..500, 1..80),
+        threads in 1usize..=16,
+    ) {
+        fn inverse_hint(p: &u64) -> u64 {
+            2000 / *p
+        }
+        let serial = ExperimentRunner::serial()
+            .run_costed(&costs, CostClass::Uniform, |i, p| spin_job(i, *p));
+        let misled = ExperimentRunner::with_threads(threads)
+            .run_costed(&costs, CostClass::Hinted(inverse_hint), |i, p| spin_job(i, *p));
+        prop_assert_eq!(&serial, &misled);
+    }
 }

@@ -528,84 +528,10 @@ fn shutdown_drains_admitted_work() {
     assert_eq!(report.worker_panics, 0);
 }
 
-/// Batched same-calibration drains must be invisible on the wire: each
-/// response in a `handle_batch` group is bitwise the response the same
-/// request gets handled alone, and the group is recorded in the
-/// service's `batch` stats block (group count, request count, mean
-/// fill ratio against the drain cap).
-#[test]
-fn batched_characterize_is_bitwise_identical_and_counted() {
-    let service = Service::standard().expect("service");
-    let trace = deterministic_trace(1_024);
-    let requests: Vec<didt_serve::Request> = (0..5)
-        .map(|i| didt_serve::Request {
-            id: 100 + i,
-            deadline_ms: None,
-            body: didt_serve::RequestBody::Characterize(inline_characterize(trace.clone())),
-        })
-        .collect();
-
-    // Reference: each request handled on its own.
-    let solo: Vec<Json> = requests
-        .iter()
-        .map(|r| match service.handle(r, None).payload {
-            didt_serve::ResponsePayload::Ok { result, .. } => result,
-            other => panic!("solo characterize failed: {other:?}"),
-        })
-        .collect();
-
-    let group: Vec<(&didt_serve::Request, Option<Instant>)> =
-        requests.iter().map(|r| (r, None)).collect();
-    let batched = service.handle_batch(&group);
-    assert_eq!(batched.len(), solo.len());
-    for ((request, response), want) in requests.iter().zip(&batched).zip(&solo) {
-        assert_eq!(response.id, request.id);
-        match &response.payload {
-            didt_serve::ResponsePayload::Ok { result, .. } => assert_eq!(
-                result.render(),
-                want.render(),
-                "batched answer must be bitwise the solo answer"
-            ),
-            other => panic!("batched characterize failed: {other:?}"),
-        }
-    }
-
-    // One drained group of five requests against the BATCH_MAX = 8 cap.
-    let stats = service.stats();
-    use std::sync::atomic::Ordering;
-    assert_eq!(stats.batch_groups.load(Ordering::Relaxed), 1);
-    assert_eq!(stats.batch_requests.load(Ordering::Relaxed), 5);
-    let report = match service
-        .handle(
-            &didt_serve::Request {
-                id: 999,
-                deadline_ms: None,
-                body: didt_serve::RequestBody::Stats,
-            },
-            None,
-        )
-        .payload
-    {
-        didt_serve::ResponsePayload::Ok { result, .. } => result,
-        other => panic!("stats failed: {other:?}"),
-    };
-    let batch = report
-        .get("batch")
-        .expect("stats must report a `batch` block");
-    let field = |k: &str| batch.get(k).and_then(Json::as_f64).expect(k);
-    assert_eq!(field("groups"), 1.0);
-    assert_eq!(field("batched_requests"), 5.0);
-    let want_fill = 5.0 / didt_serve::BATCH_MAX as f64;
-    assert!(
-        (field("mean_fill_ratio") - want_fill).abs() < 1e-12,
-        "mean_fill_ratio: {batch:?}"
-    );
-}
-
 /// The frame reader's buffers must stop growing after the first
 /// request of a given size on a connection: no per-request allocation
-/// growth (satellite of the work-stealing PR; the reader reuses its
-/// payload scratch instead of collecting a fresh `Vec` per frame).
+/// growth (the reader reuses its payload scratch instead of collecting
+/// a fresh `Vec` per frame).
 #[test]
 fn frame_reader_reuses_buffers_across_requests() {
     let server = small_server();
@@ -658,13 +584,11 @@ fn frame_reader_reuses_buffers_across_requests() {
     assert_eq!(report.worker_panics, 0);
 }
 
-/// A pipelined burst of same-calibration requests exercises the
-/// steal-aware batch claim: one worker drains the group and parks the
-/// tail on its claim deque, idle peers steal from it. Whatever the
-/// interleaving, every request must be answered exactly once and the
-/// stats block must report the stolen-claim counter.
+/// A pipelined burst of same-calibration requests lands in the FIFO
+/// admission queue at once and is served by three workers. Whatever
+/// the interleaving, every request must be answered exactly once.
 #[test]
-fn pipelined_same_calibration_burst_is_fully_answered_under_stealing() {
+fn pipelined_same_calibration_burst_is_answered_exactly_once() {
     let server = start_server(ServeConfig {
         workers: 3,
         queue_depth: 32,
@@ -673,7 +597,7 @@ fn pipelined_same_calibration_burst_is_fully_answered_under_stealing() {
     let (mut stream, mut reader) = raw_connect(server.local_addr());
 
     // Write the whole burst before reading anything, so the queue holds
-    // the group when the first worker claims it.
+    // most of it while the workers take from the front.
     let burst = 8u64;
     for id in 0..burst {
         let req = didt_serve::Request {
@@ -697,36 +621,8 @@ fn pipelined_same_calibration_burst_is_fully_answered_under_stealing() {
         "every pipelined request must be answered exactly once"
     );
 
-    // The stats block surfaces the steal counter (non-negative; whether
-    // a steal actually fired depends on worker timing).
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let stats = client.stats().expect("stats");
-    let batch = stats.get("batch").expect("stats must report `batch`");
-    assert!(
-        batch.get("stolen_claims").and_then(Json::as_f64).is_some(),
-        "batch stats must report stolen_claims: {batch:?}"
-    );
-
-    drop(client);
     drop(stream);
     let report = server.shutdown();
     assert_eq!(report.worker_panics, 0);
-    assert_eq!(report.served, burst + 1); // burst + stats request
-}
-
-/// A singleton pop is not a batch: `handle_batch` over one request must
-/// leave the batch counters untouched.
-#[test]
-fn singleton_handle_batch_is_not_counted_as_a_batch() {
-    let service = Service::standard().expect("service");
-    let request = didt_serve::Request {
-        id: 1,
-        deadline_ms: None,
-        body: didt_serve::RequestBody::Ping,
-    };
-    let responses = service.handle_batch(&[(&request, None)]);
-    assert_eq!(responses.len(), 1);
-    use std::sync::atomic::Ordering;
-    assert_eq!(service.stats().batch_groups.load(Ordering::Relaxed), 0);
-    assert_eq!(service.stats().batch_requests.load(Ordering::Relaxed), 0);
+    assert_eq!(report.served, burst);
 }

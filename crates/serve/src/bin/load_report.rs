@@ -19,8 +19,10 @@
 //! 4. **Deadline** — a 1 ms deadline on a long simulation must come
 //!    back as a clean `deadline_exceeded` error.
 //!
-//! Results go to `BENCH_pr4.json` (override with `DIDT_BENCH_OUT`; the
-//! schema is documented in EXPERIMENTS.md) plus a normal run manifest.
+//! Results go to `results/bench/load_report.json` (override with
+//! `DIDT_BENCH_OUT`, which is how the committed `BENCH_pr4.json` is
+//! refreshed; the schema is documented in EXPERIMENTS.md) plus a normal
+//! run manifest.
 //! Wall-clock numbers live only in the BENCH file, never in manifest
 //! goldens.
 //!
@@ -38,7 +40,7 @@ use didt_serve::{
     CharacterizeSpec, Client, ClientError, ClosedLoopSpec, DesignSpec, ErrorCode, RequestBody,
     ServeConfig, Server, Service, TraceSource,
 };
-use didt_telemetry::{discover_git_sha, Json, MetricsRegistry};
+use didt_telemetry::{discover_git_sha, write_bench_report, Json, MetricsRegistry};
 use didt_uarch::Benchmark;
 
 fn arg_value(name: &str) -> Option<String> {
@@ -467,9 +469,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]),
         ),
     ]);
-    let out_path = std::env::var("DIDT_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr4.json".to_string());
-    std::fs::write(&out_path, bench.render() + "\n")?;
-    println!("wrote {out_path}");
+    let out_path = write_bench_report("load_report", &bench)?;
+    println!("wrote {}", out_path.display());
 
     exp.golden("replay_bit_identical", f64::from(replay_identical));
     exp.finish()?;

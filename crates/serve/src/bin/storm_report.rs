@@ -23,10 +23,11 @@
 //!    deterministic ring assignment, tail latency from a telemetry
 //!    histogram, and the router's forwarded/rerouted/rejected counters.
 //!
-//! Results go to `BENCH_pr9.json` (override with `DIDT_BENCH_OUT`;
-//! schema `didt-bench-v4`, documented in EXPERIMENTS.md) plus a normal
-//! run manifest. Wall-clock numbers live only in the BENCH file, never
-//! in manifest goldens.
+//! Results go to `results/bench/storm_report.json` (override with
+//! `DIDT_BENCH_OUT`, which is how the committed `BENCH_pr9.json` is
+//! refreshed; schema `didt-bench-v4`, documented in EXPERIMENTS.md)
+//! plus a normal run manifest. Wall-clock numbers live only in the
+//! BENCH file, never in manifest goldens.
 //!
 //! Flags: `--smoke` shrinks the fleet and the storm for CI;
 //! `--router HOST:PORT` targets an external router (the CI cluster
@@ -40,13 +41,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use didt_bench::{CostClass, Experiment, ExperimentRunner, SchedReport, Scheduler};
+use didt_bench::{CostClass, Experiment, ExperimentRunner, SchedReport};
 use didt_serve::{
     warm_worker, CharacterizeSpec, Client, ClientConfig, ClientError, HashRing, Request,
     RequestBody, ResponsePayload, Router, RouterConfig, ServeConfig, Server, Service, SessionSpec,
     TraceSource, PROTOCOL_VERSION,
 };
-use didt_telemetry::{discover_git_sha, Json, MetricsRegistry};
+use didt_telemetry::{discover_git_sha, write_bench_report, Json, MetricsRegistry};
 
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -97,8 +98,8 @@ fn key_trace(window: usize, pdn_pct: f64, len: usize) -> Vec<f64> {
 
 /// One storm request: a (driver slot, calibration key) pair. The
 /// cost hint is the window length — bigger windows calibrate and
-/// render more data — so the steal runner's initial partition puts
-/// fewer heavy keys on each deque and thieves absorb the rest.
+/// render more data — so the runner's workers claim the heavy keys
+/// first and the light ones fill in behind them.
 #[derive(Clone, Copy)]
 struct StormItem {
     key: usize,
@@ -384,9 +385,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         keys.len()
     );
 
-    // The fleet driver is the work-stealing runner (DESIGN.md §16):
-    // each round flattens (driver slot × key) into one item list and
-    // the steal core load-balances the heavy window-512 keys across
+    // The fleet driver is the experiment runner (DESIGN.md §16): each
+    // round flattens (driver slot × key) into one item list, claimed
+    // heaviest window first so the window-512 keys spread across the
     // driver workers. Each worker thread lazily opens its own router
     // connection, cached in a thread local for the round.
     let items: Vec<StormItem> = (0..threads)
@@ -454,7 +455,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
     };
 
-    let runner = ExperimentRunner::with_threads(threads).with_scheduler(Scheduler::Steal);
+    let runner = ExperimentRunner::with_threads(threads);
     let mut driver_report = SchedReport::default();
     let mut rounds = 0usize;
     let storm_start = Instant::now();
@@ -516,14 +517,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {rejected} rejected, {errors} errors, {lost} lost, {duplicated} duplicated, \
          {divergent} divergent"
     );
-    println!(
-        "driver: {} scheduler, {rounds} rounds, {} chunks, {}/{} steals hit, deque depth {}",
-        driver_report.scheduler,
-        driver_report.chunks,
-        driver_report.steal_hits,
-        driver_report.steal_attempts,
-        driver_report.deque_max_depth
-    );
+    println!("driver: {} workers, {rounds} rounds", driver_report.workers);
 
     // ------------------------------------------------------------------
     // Phase 4: accounting — router counters, per-worker cache ratios,
@@ -672,19 +666,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "driver",
             Json::obj(vec![
-                ("scheduler", Json::str(driver_report.scheduler)),
                 ("workers", Json::num(driver_report.workers as f64)),
                 ("rounds", Json::num(rounds as f64)),
-                ("chunks", Json::num(driver_report.chunks as f64)),
-                (
-                    "steal_attempts",
-                    Json::num(driver_report.steal_attempts as f64),
-                ),
-                ("steal_hits", Json::num(driver_report.steal_hits as f64)),
-                (
-                    "deque_max_depth",
-                    Json::num(driver_report.deque_max_depth as f64),
-                ),
                 (
                     "busy_fractions",
                     Json::Arr(
@@ -713,9 +696,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]),
         ),
     ]);
-    let out_path = std::env::var("DIDT_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr9.json".to_string());
-    std::fs::write(&out_path, bench.render() + "\n")?;
-    println!("wrote {out_path}");
+    let out_path = write_bench_report("storm_report", &bench)?;
+    println!("wrote {}", out_path.display());
 
     exp.golden("shard_collisions", collisions as f64);
     exp.golden("sessions_bit_identical", f64::from(sessions_identical));

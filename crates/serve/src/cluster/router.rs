@@ -14,8 +14,8 @@
 //!
 //! * **Sharding follows the calibration key.** A request's
 //!   [`crate::protocol::Request::shard_key`] — FNV-1a over (family,
-//!   boundary, window, PDN bits), the same identity the worker's batch
-//!   drain groups on — picks its worker on a consistent-hash ring
+//!   boundary, window, PDN bits), the identity of the worker's cached
+//!   gain calibration — picks its worker on a consistent-hash ring
 //!   ([`super::HashRing`]). Same key, same worker: each worker's memo
 //!   caches stay hot and pairwise disjoint.
 //! * **Sessions are affine.** `SessionOpen` shards like the matching

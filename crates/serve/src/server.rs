@@ -20,12 +20,10 @@
 //!   threaded into the handlers, which poll it between analysis stages
 //!   and — for closed-loop simulations — every few thousand simulated
 //!   cycles ([`didt_core::control::DEADLINE_CHECK_INTERVAL`]).
-//! * **Batch claims are stealable.** A worker that drains a
-//!   same-calibration batch parks the tail of the group on its own
-//!   claim deque (see [`didt_bench::StealDeques`]); an idle peer
-//!   steals half of the deepest deque instead of waiting for the
-//!   queue, so lane packing never serializes a burst behind one
-//!   worker.
+//! * **One FIFO queue.** Workers block on the admission queue and
+//!   serve one job at a time in arrival order. No worker holds queued
+//!   jobs privately, so an idle worker always takes the oldest waiting
+//!   request.
 //! * **Workers never die.** Handler panics are caught per request
 //!   ([`std::panic::catch_unwind`]), counted, and answered as
 //!   `internal` errors; the pool keeps its width for the life of the
@@ -43,8 +41,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use didt_bench::StealDeques;
-use didt_dsp::Wavelet;
 use didt_telemetry::{Json, MetricsRegistry};
 
 use crate::protocol::{
@@ -87,10 +83,11 @@ impl Default for ServeConfig {
 /// How often connection readers wake up to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
 
-/// Most requests a worker drains from the queue as one batch: the job
-/// it popped plus up to `BATCH_MAX - 1` queued `Characterize` requests
-/// sharing its calibration key. Two lane-groups of the batched
-/// estimator per drain.
+/// Historical cap on a same-calibration batch drain. The worker pool no
+/// longer drains batches — it serves one job at a time in FIFO order —
+/// so nothing in the server reads this. It stays public because the
+/// repository benchmark (`perfbench/src/wire.rs`) reads it and sizes
+/// its pipelined Characterize client window from it.
 pub const BATCH_MAX: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -100,16 +97,6 @@ pub const BATCH_MAX: usize = 8;
 struct QueueInner<T> {
     items: VecDeque<T>,
     closed: bool,
-}
-
-/// Outcome of a non-blocking [`BoundedQueue::try_pop`].
-enum PopNow<T> {
-    /// The next queued item.
-    Item(T),
-    /// Nothing queued, queue still open.
-    Empty,
-    /// Closed and drained — no item will ever arrive again.
-    Closed,
 }
 
 /// A bounded MPMC queue: non-blocking producers (admission either
@@ -153,7 +140,6 @@ impl<T> BoundedQueue<T> {
 
     /// Block for the next item; `None` once the queue is closed *and*
     /// drained.
-    #[cfg(test)]
     fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
@@ -167,59 +153,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop: the next item, or whether the queue is closed
-    /// and drained. Workers interleave this with their steal-aware
-    /// claim deques, so they must never park inside the queue.
-    fn try_pop(&self) -> PopNow<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if let Some(item) = inner.items.pop_front() {
-            return PopNow::Item(item);
-        }
-        if inner.closed {
-            PopNow::Closed
-        } else {
-            PopNow::Empty
-        }
-    }
-
-    /// Block until a producer pushes, the queue closes, someone calls
-    /// [`Self::notify_all`], or `timeout` lapses — the idle wait
-    /// between a worker's claim/steal rounds.
-    fn wait_brief(&self, timeout: Duration) {
-        let inner = self.inner.lock().expect("queue poisoned");
-        if inner.items.is_empty() && !inner.closed {
-            let _ = self.takers.wait_timeout(inner, timeout);
-        }
-    }
-
-    /// Wake every waiting consumer (used after parking stealable
-    /// claims so idle peers re-check the claim deques).
-    fn notify_all(&self) {
-        self.takers.notify_all();
-    }
-
     /// Stop admitting; wake every blocked consumer.
     fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
         self.takers.notify_all();
-    }
-
-    /// Remove and return up to `max` queued items matching `pred`,
-    /// preserving queue order among both the taken and the remaining
-    /// items. Non-blocking; returns fewer (possibly zero) items when
-    /// the queue holds fewer matches.
-    fn drain_where<F: FnMut(&T) -> bool>(&self, max: usize, mut pred: F) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while taken.len() < max && i < inner.items.len() {
-            if pred(&inner.items[i]) {
-                taken.push(inner.items.remove(i).expect("indexed item"));
-            } else {
-                i += 1;
-            }
-        }
-        taken
     }
 }
 
@@ -247,12 +184,6 @@ struct Job {
 struct Shared {
     service: Service,
     queue: BoundedQueue<Job>,
-    /// Per-worker claim deques (the work-stealing core of
-    /// DESIGN.md §16). A worker that drains a same-calibration batch
-    /// parks the tail of the group on its own deque; idle peers steal
-    /// half of the deepest deque instead of idling while one worker
-    /// holds up to `BATCH_MAX - 1` queued requests.
-    claims: StealDeques<Job>,
     shutdown: AtomicBool,
     config: ServeConfig,
 }
@@ -299,7 +230,6 @@ impl Server {
             .store(config.queue_depth as u64, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_depth),
-            claims: StealDeques::new(config.workers),
             service,
             shutdown: AtomicBool::new(false),
             config,
@@ -310,7 +240,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("didt-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -471,91 +401,15 @@ fn admit(shared: &Arc<Shared>, request: Request, writer: &ConnWriter) {
     }
 }
 
-/// The calibration identity of a queued `Characterize` request: jobs
-/// sharing this key hit the same cached gain model, so a worker can
-/// drain them together and keep the calibration (and the batched
-/// estimator's lane groups) hot across the whole group.
-fn calibration_key(request: &Request) -> Option<(&'static str, &'static str, usize, u64)> {
-    match &request.body {
-        crate::protocol::RequestBody::Characterize(spec) => Some((
-            spec.family.name(),
-            spec.boundary.name(),
-            spec.window,
-            spec.pdn_pct.to_bits(),
-        )),
-        _ => None,
+/// Serve admitted jobs in FIFO order until the queue is closed and
+/// drained.
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.queue.pop() {
+        process_job(shared, job);
     }
 }
 
-/// How long an idle worker parks between claim/steal rounds when both
-/// the queue and every claim deque look empty.
-const WORKER_IDLE_POLL: Duration = Duration::from_millis(2);
-
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
-    loop {
-        // 1. This worker's own parked claims (batch-drain tails).
-        if let Some(job) = shared.claims.pop(me) {
-            process_job(shared, job);
-            continue;
-        }
-        // 2. Fresh work from the admission queue. Same-calibration
-        //    Characterize requests already waiting ride along with the
-        //    popped job as one drained claim; the tail of the claim is
-        //    *parked* on this worker's deque — stealable — rather than
-        //    held privately, so a worker never idles while a peer sits
-        //    on up to BATCH_MAX-1 queued same-calibration requests.
-        let closed = match shared.queue.try_pop() {
-            PopNow::Item(job) => {
-                let mut group = vec![job];
-                if didt_dsp::batch_enabled() {
-                    if let Some(key) = calibration_key(&group[0].request) {
-                        group.extend(shared.queue.drain_where(BATCH_MAX - 1, |j: &Job| {
-                            calibration_key(&j.request) == Some(key)
-                        }));
-                    }
-                }
-                if group.len() >= 2 {
-                    shared.service.note_batch_group(group.len());
-                }
-                let mut tail = group.into_iter();
-                let first = tail.next().expect("claim group is non-empty");
-                let mut parked = 0usize;
-                for job in tail {
-                    shared.claims.push(me, job);
-                    parked += 1;
-                }
-                if parked > 0 {
-                    // Idle peers wait on the queue condvar; wake them
-                    // so they re-check the claim deques and steal.
-                    shared.queue.notify_all();
-                }
-                process_job(shared, first);
-                continue;
-            }
-            PopNow::Empty => false,
-            PopNow::Closed => true,
-        };
-        // 3. Steal half of the deepest peer deque.
-        if shared.config.workers >= 2 {
-            if let Some(victim) = shared.claims.deepest_other(me) {
-                let moved = shared.claims.steal_half(me, victim);
-                if moved > 0 {
-                    shared.service.note_claims_stolen(moved as u64);
-                    continue;
-                }
-            }
-        }
-        // 4. Idle. Exit only once the queue is closed *and* no claim
-        //    is parked anywhere (parked jobs always belong to some
-        //    live worker's deque, so none are lost).
-        if closed && shared.claims.is_empty() {
-            break;
-        }
-        shared.queue.wait_brief(WORKER_IDLE_POLL);
-    }
-}
-
-/// Run one claimed job: queue-wait accounting, deadline check, the
+/// Run one dequeued job: queue-wait accounting, deadline check, the
 /// handler under `catch_unwind`, response write.
 fn process_job(shared: &Arc<Shared>, job: Job) {
     let stats = shared.service.stats();
@@ -613,18 +467,20 @@ mod tests {
     }
 
     #[test]
-    fn drain_where_takes_matches_in_order_and_preserves_rest() {
+    fn bounded_queue_pops_in_fifo_order() {
         let q: BoundedQueue<u32> = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
+        for v in [5, 1, 4, 2, 3] {
             q.try_push(v).unwrap();
         }
-        let even = q.drain_where(2, |v| v % 2 == 0);
-        assert_eq!(even, vec![2, 4]); // capped at 2, in queue order
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(6));
-        assert!(q.drain_where(4, |_| true).is_empty());
+        q.try_push(9).unwrap();
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(4));
+        q.close();
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some(9));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -65,14 +65,14 @@ pub struct ServiceStats {
     pub workers: AtomicU64,
     /// Admission queue capacity (set once at server start).
     pub queue_capacity: AtomicU64,
-    /// Same-calibration `Characterize` groups drained together (size
-    /// ≥ 2; singleton pops are not batches).
+    /// Historical count of same-calibration batch drains. Always 0:
+    /// the worker pool serves one job at a time in FIFO order. Kept
+    /// public because the repository benchmark (`perfbench/src/wire.rs`)
+    /// reads it.
     pub batch_groups: AtomicU64,
-    /// Requests served inside those groups.
+    /// Historical count of requests served inside batch drains. Always
+    /// 0; kept for the same reader as [`Self::batch_groups`].
     pub batch_requests: AtomicU64,
-    /// Parked batch-claim jobs stolen by idle workers from a peer's
-    /// claim deque.
-    pub claims_stolen: AtomicU64,
     /// Streaming sessions opened over the process lifetime.
     pub sessions_opened: AtomicU64,
     /// Streaming sessions closed by the client.
@@ -247,42 +247,6 @@ impl Service {
         }
     }
 
-    /// Handle a drained group of requests sequentially, recording the
-    /// group in the batch counters when it holds two or more requests.
-    /// Each response is exactly what [`Service::handle`] would have
-    /// produced for that request alone — batching is invisible to
-    /// clients.
-    #[must_use]
-    pub fn handle_batch(&self, group: &[(&Request, Option<Instant>)]) -> Vec<Response> {
-        if group.len() >= 2 {
-            self.note_batch_group(group.len());
-        }
-        group
-            .iter()
-            .map(|(req, dl)| self.handle(req, *dl))
-            .collect()
-    }
-
-    /// Record one drained same-calibration group of `size` requests.
-    pub(crate) fn note_batch_group(&self, size: usize) {
-        self.stats.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .batch_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.batch.drained")
-            .add(size as u64);
-    }
-
-    /// Record `moved` parked claim jobs stolen by an idle worker from
-    /// a peer's claim deque (the steal-aware batch drain).
-    pub(crate) fn note_claims_stolen(&self, moved: u64) {
-        self.stats.claims_stolen.fetch_add(moved, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.batch.stolen")
-            .add(moved);
-    }
-
     fn stats_report(&self) -> Json {
         let mut pairs = vec![(
             "uptime_ms",
@@ -344,29 +308,6 @@ impl Service {
                 (
                     "replay_cycles",
                     Json::num(metrics.counter(didt_trace::REPLAY_CYCLES_COUNTER).get() as f64),
-                ),
-            ]),
-        ));
-        // Batched same-calibration Characterize drains (the worker pool
-        // records these; zero when batching is disabled or traffic
-        // never lines up). Fill ratio is measured against the drain
-        // limit [`crate::server::BATCH_MAX`].
-        let groups = self.stats.batch_groups.load(Ordering::Relaxed);
-        let batched = self.stats.batch_requests.load(Ordering::Relaxed);
-        let stolen = self.stats.claims_stolen.load(Ordering::Relaxed);
-        pairs.push((
-            "batch",
-            Json::obj(vec![
-                ("groups", Json::num(groups as f64)),
-                ("batched_requests", Json::num(batched as f64)),
-                ("stolen_claims", Json::num(stolen as f64)),
-                (
-                    "mean_fill_ratio",
-                    Json::num(if groups > 0 {
-                        batched as f64 / (groups * crate::server::BATCH_MAX as u64) as f64
-                    } else {
-                        0.0
-                    }),
                 ),
             ]),
         ));

@@ -112,17 +112,17 @@ pub struct SubRun {
     pub secs: f64,
 }
 
-/// One execution-scheduler counter observed by a run's work-stealing
-/// core (DESIGN.md §16). **Timing field** family: steal counts, deque
-/// depths and busy time vary with the steal interleaving, never with
-/// results, so they live outside the non-timing fingerprint. Names are
+/// One execution-scheduler counter observed by a run's worker pool
+/// (DESIGN.md §16). **Timing field** family: busy time varies with the
+/// claim interleaving, never with results, so it lives outside the
+/// non-timing fingerprint. Names are
 /// interned against [`intern_scheduler_counter`] so manifests stay
 /// lossless through a parse round-trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedCounterRecord {
-    /// Interned counter name (`"runner.steal.attempts"`, ...). The
-    /// per-worker busy-time counter `"runner.worker.busy_ns"` repeats,
-    /// one record per worker in worker order.
+    /// Interned counter name. The per-worker busy-time counter
+    /// `"runner.worker.busy_ns"` repeats, one record per worker in
+    /// worker order.
     pub name: &'static str,
     /// Counter value.
     pub value: u64,
@@ -159,8 +159,8 @@ pub struct RunManifest {
     pub metrics: Option<Json>,
     /// Aggregated span statistics at exit. **Timing field.**
     pub spans: Option<Json>,
-    /// Execution-scheduler counters (steal attempts/hits, deque depth,
-    /// per-worker busy time). **Timing field.**
+    /// Execution-scheduler counters (per-worker busy time). **Timing
+    /// field.**
     pub scheduler: Vec<SchedCounterRecord>,
     /// Total wall-clock milliseconds. **Timing field.**
     pub wall_ms: f64,
@@ -590,17 +590,33 @@ fn intern_cache_name(name: &str) -> Result<&'static str, String> {
 ///
 /// Returns a message for names outside the registered set.
 pub fn intern_scheduler_counter(name: &str) -> Result<&'static str, String> {
-    const KNOWN: &[&str] = &[
-        "runner.steal.attempts",
-        "runner.steal.hits",
-        "runner.deque.max_depth",
-        "runner.worker.busy_ns",
-    ];
+    const KNOWN: &[&str] = &["runner.worker.busy_ns"];
     KNOWN
         .iter()
         .find(|&&k| k == name)
         .copied()
         .ok_or(format!("unknown scheduler counter {name:?}"))
+}
+
+/// Write a benchmark binary's BENCH JSON report and return its path:
+/// `DIDT_BENCH_OUT` when set, else `results/bench/<binary>.json`
+/// relative to the working directory (gitignored). A committed
+/// `BENCH_*.json` reference changes only when `DIDT_BENCH_OUT` names it
+/// explicitly. Parent directories are created as needed.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_bench_report(binary: &str, report: &Json) -> std::io::Result<PathBuf> {
+    let path = std::env::var_os("DIDT_BENCH_OUT").map_or_else(
+        || Path::new("results/bench").join(format!("{binary}.json")),
+        PathBuf::from,
+    );
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, report.render() + "\n")?;
+    Ok(path)
 }
 
 /// The manifest output directory: `DIDT_MANIFEST_DIR` when set, else
@@ -716,18 +732,6 @@ mod tests {
         m.metrics = Some(Json::obj(vec![("counters", Json::Obj(vec![]))]));
         m.scheduler = vec![
             SchedCounterRecord {
-                name: "runner.steal.attempts",
-                value: 17,
-            },
-            SchedCounterRecord {
-                name: "runner.steal.hits",
-                value: 9,
-            },
-            SchedCounterRecord {
-                name: "runner.deque.max_depth",
-                value: 6,
-            },
-            SchedCounterRecord {
                 name: "runner.worker.busy_ns",
                 value: 120_000,
             },
@@ -788,7 +792,7 @@ mod tests {
         retimed.subruns[0].secs = 77.7;
         retimed.metrics = None;
         retimed.scheduler = vec![SchedCounterRecord {
-            name: "runner.steal.hits",
+            name: "runner.worker.busy_ns",
             value: 1_000_000,
         }];
         assert_eq!(m.non_timing_fingerprint(), retimed.non_timing_fingerprint());
@@ -841,9 +845,9 @@ mod tests {
         // not silently dropped.
         let rogue = m
             .to_json_string()
-            .replace("runner.steal.hits", "runner.steal.bogus");
+            .replace("runner.worker.busy_ns", "runner.worker.bogus");
         assert!(RunManifest::from_json_str(&rogue).is_err());
-        assert!(intern_scheduler_counter("runner.steal.attempts").is_ok());
+        assert!(intern_scheduler_counter("runner.worker.busy_ns").is_ok());
         assert!(intern_scheduler_counter("nope").is_err());
     }
 }

@@ -5,7 +5,10 @@
 //! paths pre-resolve their handles once and update them per event.
 //! [`MetricsRegistry::global`] is the process-wide registry the
 //! instrumented crates record into; experiments snapshot it into their
-//! run manifests at exit.
+//! run manifests at exit. A test that asserts exact counter deltas
+//! installs [`MetricsRegistry::scoped`] first, so `global()` on its
+//! thread resolves to a private registry that concurrent tests cannot
+//! touch.
 //!
 //! Histograms use **fixed base-2 log-scale buckets**: bucket `i` counts
 //! values in `[2^(i-1), 2^i)` (bucket 0 counts zeros). With 64 buckets
@@ -15,7 +18,9 @@
 //! (each bucket is a factor-of-2 band) for a hard bound on memory and
 //! update cost, the right trade for sweep observability.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -206,6 +211,35 @@ impl Histogram {
     }
 }
 
+thread_local! {
+    /// The calling thread's scoped registry, if a guard is installed.
+    static SCOPED: Cell<Option<&'static MetricsRegistry>> = const { Cell::new(None) };
+}
+
+/// Guard returned by [`MetricsRegistry::scoped`]; restores the
+/// thread's previous registry on drop. Not `Send`: it must drop on the
+/// thread that installed it.
+#[derive(Debug)]
+pub struct ScopedRegistry {
+    registry: &'static MetricsRegistry,
+    previous: Option<&'static MetricsRegistry>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl ScopedRegistry {
+    /// The scoped registry (what `global()` returns on this thread).
+    #[must_use]
+    pub fn registry(&self) -> &'static MetricsRegistry {
+        self.registry
+    }
+}
+
+impl Drop for ScopedRegistry {
+    fn drop(&mut self) {
+        SCOPED.with(|s| s.set(self.previous));
+    }
+}
+
 /// A named-handle registry for counters, gauges and histograms.
 ///
 /// Handle lookup takes a lock; recording through a handle does not.
@@ -225,10 +259,31 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The process-wide registry.
+    /// The registry instrumented code records into: the calling
+    /// thread's scoped registry while a [`ScopedRegistry`] guard is
+    /// alive on it, else the process-wide registry.
     pub fn global() -> &'static MetricsRegistry {
         static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
+        SCOPED
+            .with(Cell::get)
+            .unwrap_or_else(|| GLOBAL.get_or_init(MetricsRegistry::new))
+    }
+
+    /// Route [`MetricsRegistry::global`] on the calling thread to a
+    /// fresh, empty registry until the returned guard drops. Only this
+    /// thread's recordings land there, so a test can assert exact
+    /// counter deltas while sibling tests record concurrently. Handles
+    /// cached in statics keep the registry they were first resolved
+    /// from, so scope only code that resolves handles per call. Each
+    /// scope leaks its (small) registry; it is meant for tests.
+    #[must_use]
+    pub fn scoped() -> ScopedRegistry {
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        ScopedRegistry {
+            registry,
+            previous: SCOPED.with(|s| s.replace(Some(registry))),
+            _not_send: PhantomData,
+        }
     }
 
     /// The counter named `name`, created on first use.
@@ -308,6 +363,28 @@ impl MetricsRegistry {
 #[allow(clippy::float_cmp)] // tests compare values that were stored, not computed
 mod tests {
     use super::*;
+
+    #[test]
+    fn scoped_registry_isolates_this_thread_and_restores_on_drop() {
+        let outer = MetricsRegistry::global();
+        {
+            let scope = MetricsRegistry::scoped();
+            assert!(std::ptr::eq(MetricsRegistry::global(), scope.registry()));
+            MetricsRegistry::global().counter("scoped.test").add(3);
+            // Another thread still sees the process-wide registry.
+            std::thread::spawn(|| MetricsRegistry::global().counter("scoped.test").incr())
+                .join()
+                .unwrap();
+            assert_eq!(scope.registry().counter("scoped.test").get(), 3);
+            {
+                let inner = MetricsRegistry::scoped();
+                assert_eq!(inner.registry().counter("scoped.test").get(), 0);
+            }
+            assert!(std::ptr::eq(MetricsRegistry::global(), scope.registry()));
+        }
+        assert!(std::ptr::eq(MetricsRegistry::global(), outer));
+        assert!(outer.counter("scoped.test").get() >= 1);
+    }
 
     #[test]
     fn counter_and_gauge_basics() {
