@@ -2,7 +2,8 @@
 //!
 //! Times the convolution kernels (reference vs auto-dispatched engine
 //! across a size × taps grid), per-cycle monitor throughput (naive lag
-//! walk vs ring-dot full convolution vs the biquad recurrence), the
+//! walk vs the block-evaluated full-convolution and db4 family FIRs
+//! vs the biquad recurrence), the
 //! DWT engine (filter-generic `dwt_boundary_into` against the legacy
 //! Haar kernel — the generic path must stay within timing noise), the
 //! cycle simulator itself (per-benchmark `ClosedLoop::run` throughput,
@@ -233,55 +234,74 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cycles: usize = if smoke { 100_000 } else { 400_000 };
     let impulse = pdn.impulse_response(taps);
     let current = |c: usize| 30.0 + 25.0 * ((c as f64) * 0.21).sin();
-
-    // Naive baseline: the pre-PR per-tap ring.lag walk.
-    let mut ring = HistoryRing::new(taps);
-    let naive_ms = best_ms(1, || {
-        let mut acc = 0.0;
-        for c in 0..cycles {
-            ring.push(current(c));
-            let mut droop = 0.0;
-            for (m, &hm) in impulse.iter().enumerate() {
-                droop += hm * ring.lag(m);
+    // The pre-PR-3 FIR: a per-tap ring.lag walk, one estimate per cycle.
+    let lag_walk_ms = |kernel: &[f64]| {
+        let mut ring = HistoryRing::new(kernel.len());
+        best_ms(1, || {
+            let mut acc = 0.0;
+            for c in 0..cycles {
+                ring.push(current(c));
+                let mut droop = 0.0;
+                for (m, &hm) in kernel.iter().enumerate() {
+                    droop += hm * ring.lag(m);
+                }
+                acc += pdn.vdd() - droop;
             }
-            acc += pdn.vdd() - droop;
-        }
-        acc
-    });
-    let mut full = FullConvolutionMonitor::new(&pdn, taps, 3);
-    let full_ms = best_ms(1, || {
-        let mut acc = 0.0;
-        for c in 0..cycles {
-            acc += full.observe(CycleSense {
-                current: current(c),
-                voltage: 1.0,
-            });
-        }
-        acc
-    });
-    let mut biquad = BiquadMonitor::new(&pdn, 3);
-    let biquad_ms = best_ms(1, || {
-        let mut acc = 0.0;
-        for c in 0..cycles {
-            acc += biquad.observe(CycleSense {
-                current: current(c),
-                voltage: 1.0,
-            });
-        }
-        acc
-    });
+            acc
+        })
+    };
+    let monitor_ms = |mon: &mut dyn VoltageMonitor| {
+        best_ms(1, || {
+            let mut acc = 0.0;
+            for c in 0..cycles {
+                acc += mon.observe(CycleSense {
+                    current: current(c),
+                    voltage: 1.0,
+                });
+            }
+            acc
+        })
+    };
+    let naive_ms = lag_walk_ms(&impulse);
+    let full_ms = monitor_ms(&mut FullConvolutionMonitor::new(&pdn, taps, 3));
+    let biquad_ms = monitor_ms(&mut BiquadMonitor::new(&pdn, 3));
+    // The sweep's family scheme: db4/symmetric over a 256-cycle window,
+    // 13 retained terms, delay 1.
+    let family_design =
+        ctx.family_monitor_design(150.0, 256, WaveletFamily::Db4, BoundaryMode::Symmetric)?;
+    let family_terms = 13;
+    let family_kernel = family_design.kernel(family_terms)?;
+    let naive_family_ms = lag_walk_ms(&family_kernel);
+    let family_ms = monitor_ms(&mut family_design.build(family_terms, 1)?);
     let rate = |ms: f64| cycles as f64 / (ms / 1e3);
     let mut mt = TextTable::new(&["droop path", "taps", "cycles/s", "vs naive"]);
-    for (name, taps_str, ms) in [
-        ("naive lag-walk FIR", taps.to_string(), naive_ms),
-        ("ring-dot FIR (full-conv)", taps.to_string(), full_ms),
-        ("biquad recurrence", "5".to_string(), biquad_ms),
+    for (name, taps_str, ms, base_ms) in [
+        ("naive lag-walk FIR", taps.to_string(), naive_ms, naive_ms),
+        (
+            "block FIR (full-conv, delay 3)",
+            taps.to_string(),
+            full_ms,
+            naive_ms,
+        ),
+        ("biquad recurrence", "5".to_string(), biquad_ms, naive_ms),
+        (
+            "naive lag-walk FIR (family kernel)",
+            family_kernel.len().to_string(),
+            naive_family_ms,
+            naive_family_ms,
+        ),
+        (
+            "block FIR (db4 family, K = 13, delay 1)",
+            family_kernel.len().to_string(),
+            family_ms,
+            naive_family_ms,
+        ),
     ] {
         mt.row_owned(vec![
             name.to_string(),
             taps_str,
             format!("{:.2e}", rate(ms)),
-            format!("{:.1}x", naive_ms / ms),
+            format!("{:.1}x", base_ms / ms),
         ]);
     }
     println!("{}", mt.render());
@@ -1101,6 +1121,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("biquad_cycles_per_sec", Json::Num(rate(biquad_ms))),
                 ("full_conv_speedup_vs_naive", Json::Num(naive_ms / full_ms)),
                 ("biquad_speedup_vs_naive", Json::Num(naive_ms / biquad_ms)),
+                ("family_taps", Json::Num(family_kernel.len() as f64)),
+                ("family_terms", Json::Num(family_terms as f64)),
+                ("family_cycles_per_sec", Json::Num(rate(family_ms))),
+                (
+                    "family_speedup_vs_naive",
+                    Json::Num(naive_family_ms / family_ms),
+                ),
             ]),
         ),
         (

@@ -294,7 +294,7 @@ impl ClosedLoop {
     /// # Errors
     ///
     /// [`DidtError::InvalidConfig`] when `pre_roll` exceeds the record
-    /// count.
+    /// count, or when any record's `current` or `power` is not finite.
     pub fn replay(
         &self,
         controller: &mut dyn DidtController,
@@ -306,6 +306,15 @@ impl ClosedLoop {
             return Err(DidtError::InvalidConfig {
                 name: "replay",
                 reason: "pre_roll exceeds the record count",
+            });
+        }
+        if records
+            .iter()
+            .any(|r| !r.current.is_finite() || !r.power.is_finite())
+        {
+            return Err(DidtError::InvalidConfig {
+                name: "replay",
+                reason: "records hold a non-finite current or power",
             });
         }
         replay_cycles_counter().add(records.len() as u64);
@@ -943,6 +952,31 @@ mod tests {
             harness.replay(&mut NoControl, &records, 11),
             Err(DidtError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn replay_rejects_non_finite_records() {
+        let sys = DidtSystem::standard().unwrap();
+        let pdn = sys.pdn_at(150.0).unwrap();
+        let harness = ClosedLoop::new(*sys.processor(), pdn, small_cfg(Benchmark::Gzip));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (at, field) in [(3, "current"), (40, "current"), (40, "power")] {
+                let mut records = vec![Record::current_only(20.0); 64];
+                if field == "current" {
+                    records[at].current = bad;
+                } else {
+                    records[at].power = bad;
+                }
+                // Non-finite values are refused in the pre-roll too.
+                assert!(
+                    matches!(
+                        harness.replay(&mut NoControl, &records, 16),
+                        Err(DidtError::InvalidConfig { name: "replay", .. })
+                    ),
+                    "{bad} {field} at record {at}"
+                );
+            }
+        }
     }
 
     #[test]

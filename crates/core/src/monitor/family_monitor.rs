@@ -16,13 +16,19 @@
 //! dbN-capable hardware design would get — while staying honest that no
 //! O(K) shift-register implementation exists for dbN (the "Haar-only
 //! online" constraint documented in `didt_dsp::streaming`).
+//!
+//! The FIR runs on the same block engine as the full-convolution
+//! monitor: with delay `d` it computes the next `d + 1` estimates in one
+//! pass over `ĥ_K`, one accumulator each, summed from 0.0 in ascending
+//! lag order like the naive per-lag walk, so every estimate is
+//! `to_bits()`-identical to that walk while the `d + 1` add chains
+//! overlap. At the usual delay of 1 that is two chains.
 
-use crate::monitor::shift_register::HistoryRing;
+use crate::monitor::block_fir::BlockFir;
 use crate::monitor::{CycleSense, VoltageMonitor};
 use crate::DidtError;
 use didt_dsp::{dwt_boundary, idwt, BoundaryMode, Wavelet, WaveletDecomposition, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
-use std::collections::VecDeque;
 
 /// One coefficient of the impulse response's family-basis expansion.
 /// `row < levels` indexes a detail row (0 = finest); `row == levels`
@@ -227,14 +233,9 @@ impl FamilyMonitorDesign {
     ///
     /// Returns [`DidtError::InvalidConfig`] when `k` is zero.
     pub fn build(&self, k: usize, delay: usize) -> Result<FamilyMonitor, DidtError> {
-        let kernel = self.kernel(k)?;
         Ok(FamilyMonitor {
-            ring: HistoryRing::new(self.window),
-            kernel,
+            fir: BlockFir::new(self.kernel(k)?, self.vdd, delay),
             terms: k.min(self.order.len()),
-            vdd: self.vdd,
-            delay,
-            pipeline: VecDeque::from(vec![self.vdd; delay]),
         })
     }
 }
@@ -245,24 +246,13 @@ impl FamilyMonitorDesign {
 /// hardware-cost proxy), not the FIR length the software model runs.
 #[derive(Debug, Clone)]
 pub struct FamilyMonitor {
-    ring: HistoryRing,
-    kernel: Vec<f64>,
+    fir: BlockFir,
     terms: usize,
-    vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
 }
 
 impl VoltageMonitor for FamilyMonitor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
-        self.ring.push(sense.current);
-        let droop = self.ring.dot(&self.kernel);
-        let est = self.vdd - droop;
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        self.fir.observe(sense.current)
     }
 
     fn name(&self) -> &'static str {
@@ -274,7 +264,7 @@ impl VoltageMonitor for FamilyMonitor {
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.fir.delay()
     }
 }
 

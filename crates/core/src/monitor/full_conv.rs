@@ -6,11 +6,20 @@
 //! impulse-response tap every cycle (hundreds), which is why the paper
 //! (and Grochowski) consider a 1–2-cycle hardware implementation
 //! impractical; the default models this with a 3-cycle latency.
+//!
+//! In software the same latency is what makes the monitor fast. With
+//! delay `d` the estimate due at cycle `c` is `est[c − d]`, so the
+//! monitor computes `est[c − d] ..= est[c]` together once every `d + 1`
+//! cycles: one pass over the taps with `d + 1` independent accumulators
+//! (the crate-private block FIR engine). Each accumulator still sums
+//! its taps from 0.0 in ascending lag order, exactly as the naive
+//! per-lag walk does, so every estimate is `to_bits()`-identical to
+//! it; only the add chains now overlap instead of running back to back.
+//! The paper default (delay 3) runs four chains.
 
-use crate::monitor::shift_register::HistoryRing;
+use crate::monitor::block_fir::BlockFir;
 use crate::monitor::{CycleSense, VoltageMonitor};
 use didt_pdn::SecondOrderPdn;
-use std::collections::VecDeque;
 
 /// Full-convolution voltage monitor.
 ///
@@ -37,11 +46,7 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FullConvolutionMonitor {
-    ring: HistoryRing,
-    impulse: Vec<f64>,
-    vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
+    fir: BlockFir,
 }
 
 impl FullConvolutionMonitor {
@@ -50,11 +55,7 @@ impl FullConvolutionMonitor {
     #[must_use]
     pub fn new(pdn: &SecondOrderPdn, taps: usize, delay: usize) -> Self {
         FullConvolutionMonitor {
-            ring: HistoryRing::new(taps.max(1)),
-            impulse: pdn.impulse_response(taps.max(1)),
-            vdd: pdn.vdd(),
-            delay,
-            pipeline: VecDeque::from(vec![pdn.vdd(); delay]),
+            fir: BlockFir::new(pdn.impulse_response(taps.max(1)), pdn.vdd(), delay),
         }
     }
 
@@ -69,18 +70,7 @@ impl FullConvolutionMonitor {
 
 impl VoltageMonitor for FullConvolutionMonitor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
-        self.ring.push(sense.current);
-        // Contiguous two-segment dot product over the ring halves;
-        // bit-identical to a per-tap `ring.lag(m)` walk (the golden
-        // tab02 numbers flow through this line) but without the modulo
-        // and bounds check per tap.
-        let droop = self.ring.dot(&self.impulse);
-        let est = self.vdd - droop;
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        self.fir.observe(sense.current)
     }
 
     fn name(&self) -> &'static str {
@@ -88,17 +78,19 @@ impl VoltageMonitor for FullConvolutionMonitor {
     }
 
     fn term_count(&self) -> usize {
-        self.impulse.len()
+        self.fir.taps()
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.fir.delay()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::HistoryRing;
+    use std::collections::VecDeque;
 
     fn pdn() -> SecondOrderPdn {
         SecondOrderPdn::from_resonance(100e6, 2.2, 4e-4, 1.0, 3e9).unwrap()
@@ -166,12 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_dot_estimate_is_bitwise_identical_to_lag_walk() {
-        // The monitor feeds golden-number sweeps, so the fast dot path
+    fn block_estimate_is_bitwise_identical_to_lag_walk() {
+        // The monitor feeds golden-number sweeps, so the block path
         // must reproduce the historic per-tap lag loop exactly — not
         // just within tolerance.
         let p = pdn();
-        let taps = 300; // non-power-of-two, forces a wrapped second segment
+        let taps = 300; // non-power-of-two; delay 2 splits each block 2 + 1
         let mut mon = FullConvolutionMonitor::new(&p, taps, 2);
         let impulse = p.impulse_response(taps);
         let mut ring = HistoryRing::new(taps);

@@ -23,6 +23,7 @@
 
 mod analog;
 mod biquad_monitor;
+mod block_fir;
 mod family_monitor;
 mod full_conv;
 mod shift_register;

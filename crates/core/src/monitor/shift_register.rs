@@ -137,7 +137,8 @@ impl SlidingTerm {
     }
 }
 
-/// A ring buffer of recent current samples, indexed by lag.
+/// A ring buffer of recent current samples, indexed by lag: the shift
+/// register that [`SlidingTerm`]s tap.
 ///
 /// `lag(0)` is the newest sample; lags beyond the history seen so far
 /// read as zero (the quiescent pre-history).
@@ -184,38 +185,6 @@ impl HistoryRing {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Dot product of the weight vector `h` with the lag history:
-    /// `Σ_m h[m] · lag(m)`, bit-identical to the naive per-lag loop
-    /// (same accumulator, same m order) but without the per-tap modulo
-    /// arithmetic and bounds assert: the lag walk is two contiguous
-    /// reversed slices of the ring (newest back to slot 0, then the
-    /// wrapped tail down from the top of the buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `h` needs more lags than the ring holds.
-    #[must_use]
-    pub fn dot(&self, h: &[f64]) -> f64 {
-        let k = h.len();
-        assert!(k <= self.buf.len(), "{k} taps exceed ring capacity");
-        // lag(m) = buf[(head - m) mod len]: lags 0..=head live in
-        // buf[..=head] (reversed), deeper lags wrap to the top of the
-        // buffer, still walking downward.
-        let split = k.min(self.head + 1);
-        let mut acc = 0.0;
-        for (&w, &x) in h[..split].iter().zip(self.buf[..=self.head].iter().rev()) {
-            acc += w * x;
-        }
-        let rem = k - split;
-        for (&w, &x) in h[split..]
-            .iter()
-            .zip(self.buf[self.buf.len() - rem..].iter().rev())
-        {
-            acc += w * x;
-        }
-        acc
     }
 }
 
@@ -317,38 +286,5 @@ mod tests {
     fn max_lag_accounts_for_offset() {
         let t = SlidingTerm::new(TermKind::Detail, 3, 2);
         assert_eq!(t.max_lag(), 2 * 8 + 8);
-    }
-
-    #[test]
-    fn dot_is_bitwise_identical_to_lag_walk() {
-        let mut ring = HistoryRing::new(100); // buf.len() = 128
-        let h: Vec<f64> = (0..100)
-            .map(|m| (m as f64 * 0.31).cos() / (m as f64 + 1.0))
-            .collect();
-        // Check at every fill level: pre-history, partially wrapped,
-        // fully wrapped, and many wraps deep.
-        for n in 0..400 {
-            let naive: f64 = h
-                .iter()
-                .enumerate()
-                .map(|(m, &w)| w * ring.lag(m))
-                .fold(0.0, |acc, term| acc + term);
-            assert_eq!(ring.dot(&h).to_bits(), naive.to_bits(), "cycle {n}");
-            ring.push((n as f64 * 0.7).sin() * 25.0 + 40.0);
-        }
-    }
-
-    #[test]
-    fn dot_with_empty_weights_is_zero() {
-        let mut ring = HistoryRing::new(8);
-        ring.push(5.0);
-        assert_eq!(ring.dot(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed ring capacity")]
-    fn dot_rejects_oversized_weights() {
-        let ring = HistoryRing::new(8);
-        let _ = ring.dot(&[0.0; 4096]);
     }
 }

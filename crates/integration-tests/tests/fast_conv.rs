@@ -3,7 +3,7 @@
 //! The engine promises two different strengths of equivalence and this
 //! suite pins both at the system level:
 //!
-//! * **Bitwise** — the full-convolution monitor's ring-dot rewrite and
+//! * **Bitwise** — the full-convolution monitor's block evaluation and
 //!   the biquad monitor feed golden-number sweeps, so they must
 //!   reproduce the historic arithmetic exactly, and sweeps using them
 //!   must stay serial≡parallel bit-identical.
@@ -43,8 +43,8 @@ fn grid() -> Vec<SweepPoint> {
 }
 
 /// The monitor that feeds the tab02 goldens must produce bit-identical
-/// estimates through the contiguous ring-dot path on a real captured
-/// workload trace (not just synthetic waves).
+/// estimates through the block path (four estimates per pass at delay
+/// 3) on a real captured workload trace (not just synthetic waves).
 #[test]
 fn full_conv_monitor_is_bitwise_stable_on_real_trace() {
     let ctx = SweepContext::standard().unwrap();
@@ -56,7 +56,7 @@ fn full_conv_monitor_is_bitwise_stable_on_real_trace() {
         5_000,
         4_096,
     );
-    let taps = 300; // non-power-of-two: exercises the wrapped segment
+    let taps = 300; // non-power-of-two: compaction moves 299 samples
     let mut mon = FullConvolutionMonitor::new(&pdn, taps, 3);
     let impulse = pdn.impulse_response(taps);
     // Naive re-implementation: explicit history walk + delay pipeline.

@@ -1214,6 +1214,63 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_replay_of_non_finite_records_is_a_bad_request() {
+        let dir = std::env::temp_dir().join(format!(
+            "didt_serve_nonfinite_replay_test_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let svc = service();
+        for (i, (current, power)) in [(f64::NAN, 30.0), (20.0, f64::INFINITY)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut records = vec![
+                didt_trace::Record {
+                    current: 20.0,
+                    power: 30.0,
+                    ..didt_trace::Record::default()
+                };
+                600
+            ];
+            records[550].current = current;
+            records[550].power = power;
+            let mut meta = didt_trace::TraceMeta::new(didt_trace::RecordKind::Full, "gzip");
+            meta.pre_roll = 500;
+            let path = dir.join(format!("bad_{i}.dtrc"));
+            didt_trace::write_path(&path, &meta, &records).unwrap();
+            let resp = svc.handle(
+                &Request {
+                    id: 5,
+                    deadline_ms: None,
+                    body: RequestBody::ClosedLoop(ClosedLoopSpec {
+                        benchmark: "gzip".to_string(),
+                        pdn_pct: 150.0,
+                        monitor_terms: 13,
+                        controller: ControllerSpec::FullConvolution {
+                            low: 0.97,
+                            high: 1.03,
+                            hysteresis: 0.004,
+                        },
+                        instructions: 2_000,
+                        warmup_cycles: 500,
+                        replay: Some(path.display().to_string()),
+                    }),
+                },
+                None,
+            );
+            match resp.payload {
+                ResponsePayload::Error {
+                    code: ErrorCode::BadRequest,
+                    message,
+                } => assert!(message.contains("non-finite"), "{message}"),
+                other => panic!("expected a bad request, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn expired_deadline_reports_deadline_exceeded() {
         let svc = service();
         let resp = svc.handle(

@@ -33,6 +33,9 @@
 //! bit-identity with the serial run, and a floor on the zipf and
 //! uniform sleep shapes' schedule efficiency (makespan lower bound over
 //! measured wall time), looser when the candidate is a smoke run.
+//! `didt-serve-bench-v1` (the `load_report` serve benchmark) gets exact
+//! checks only: bit-identical replay, zero errors under throughput and
+//! overload, no worker panics, and a clean deadline abort.
 //!
 //! A second mode, `bench_diff --manifest-fingerprint <a.json> <b.json>`,
 //! compares the non-timing fingerprints of two run manifests — CI uses
@@ -59,14 +62,16 @@ enum Kind {
 /// Which check set a report gets, keyed on its schema.
 #[derive(Clone, Copy, PartialEq)]
 enum Profile {
-    /// The batch/perf report family (`didt-bench-v1`..`v3` and the
-    /// serve load report): kernel speedups and bit-identity flags.
+    /// The batch/perf report family (`didt-bench-v1`..`v3`): kernel
+    /// speedups and bit-identity flags.
     Perf,
     /// `didt-bench-v4`, the `storm_report` cluster benchmark.
     Storm,
     /// `didt-bench-v5`: every perf-profile check plus the scheduler
     /// `skew_report` section (schedule efficiency of the sleep shapes).
     Skew,
+    /// `didt-serve-bench-v1`, the `load_report` serve benchmark.
+    Serve,
 }
 
 /// Floor on a full-run candidate's zipf and uniform schedule
@@ -85,6 +90,19 @@ const STORM_EXACT_TRUE: &[&[&str]] = &[
     &["failover", "zero_lost"],
     &["failover", "zero_duplicated"],
 ];
+
+/// Candidate paths that must be exactly `true` under the serve profile.
+const SERVE_EXACT_TRUE: &[&[&str]] = &[&["replay", "bit_identical"], &["deadline", "clean_abort"]];
+
+/// Candidate counts that must be exactly 0 under the serve profile.
+const SERVE_EXACT_ZERO: &[&[&str]] = &[
+    &["throughput", "errors"],
+    &["overload", "errors"],
+    &["overload", "worker_panics"],
+];
+
+/// Candidate counts that must be exactly 0 under the storm profile.
+const STORM_EXACT_ZERO: &[&[&str]] = &[&["sharding", "collisions"]];
 
 /// Storm-profile banded metrics (throughput is host-dependent: loose).
 const STORM_METRICS: &[Metric] = &[Metric {
@@ -111,11 +129,19 @@ const METRICS: &[Metric] = &[
         kind: Kind::Ratio,
     },
     Metric {
+        path: &["monitors", "family_speedup_vs_naive"],
+        kind: Kind::Ratio,
+    },
+    Metric {
         path: &["monitors", "full_conv_cycles_per_sec"],
         kind: Kind::Rate,
     },
     Metric {
         path: &["monitors", "biquad_cycles_per_sec"],
+        kind: Kind::Rate,
+    },
+    Metric {
+        path: &["monitors", "family_cycles_per_sec"],
         kind: Kind::Rate,
     },
     Metric {
@@ -287,6 +313,7 @@ fn run() -> Result<bool, String> {
     {
         Some("didt-bench-v4") => Profile::Storm,
         Some("didt-bench-v5") => Profile::Skew,
+        Some("didt-serve-bench-v1") => Profile::Serve,
         _ => Profile::Perf,
     };
 
@@ -316,28 +343,39 @@ fn run() -> Result<bool, String> {
                 )),
             }
         }
-        Profile::Storm => {
-            for path in STORM_EXACT_TRUE {
+        Profile::Storm | Profile::Serve => {
+            let (exact_true, exact_zero) = if profile == Profile::Storm {
+                (STORM_EXACT_TRUE, STORM_EXACT_ZERO)
+            } else {
+                (SERVE_EXACT_TRUE, SERVE_EXACT_ZERO)
+            };
+            for path in exact_true {
                 let name = path.join(".");
                 match lookup(&candidate, path) {
                     Some(Json::Bool(true)) => println!("ok    {name}: true"),
                     other => fail(format!("{name} must be true, got {other:?}")),
                 }
             }
-            match lookup(&candidate, &["sharding", "collisions"]).and_then(Json::as_f64) {
-                Some(0.0) => println!("ok    sharding.collisions: 0"),
-                other => fail(format!("sharding.collisions must be 0, got {other:?}")),
-            }
-            match lookup(&candidate, &["sharding", "min_shard_hit_ratio"]).and_then(Json::as_f64) {
-                Some(r) if r >= STORM_MIN_HIT_RATIO => {
-                    println!(
-                        "ok    sharding.min_shard_hit_ratio: {r:.4} (floor {STORM_MIN_HIT_RATIO})"
-                    );
+            for path in exact_zero {
+                let name = path.join(".");
+                match lookup(&candidate, path).and_then(Json::as_f64) {
+                    Some(0.0) => println!("ok    {name}: 0"),
+                    other => fail(format!("{name} must be 0, got {other:?}")),
                 }
-                other => fail(format!(
-                    "sharding.min_shard_hit_ratio must be >= {STORM_MIN_HIT_RATIO}, got {other:?}"
-                )),
             }
+        }
+    }
+
+    if profile == Profile::Storm {
+        match lookup(&candidate, &["sharding", "min_shard_hit_ratio"]).and_then(Json::as_f64) {
+            Some(r) if r >= STORM_MIN_HIT_RATIO => {
+                println!(
+                    "ok    sharding.min_shard_hit_ratio: {r:.4} (floor {STORM_MIN_HIT_RATIO})"
+                );
+            }
+            other => fail(format!(
+                "sharding.min_shard_hit_ratio must be >= {STORM_MIN_HIT_RATIO}, got {other:?}"
+            )),
         }
     }
 
@@ -369,6 +407,7 @@ fn run() -> Result<bool, String> {
     let metrics = match profile {
         Profile::Perf | Profile::Skew => METRICS,
         Profile::Storm => STORM_METRICS,
+        Profile::Serve => &[],
     };
     for metric in metrics {
         let name = metric.path.join(".");
