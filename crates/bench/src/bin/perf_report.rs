@@ -1,30 +1,28 @@
 //! `perf_report`: the repo's performance-regression harness.
 //!
-//! Times the convolution kernels (reference vs auto-dispatched engine
-//! across a size × taps grid), per-cycle monitor throughput (naive lag
-//! walk vs the block-evaluated full-convolution and db4 family FIRs
-//! vs the biquad recurrence), the
-//! DWT engine (filter-generic `dwt_boundary_into` against the legacy
-//! Haar kernel — the generic path must stay within timing noise), the
-//! cycle simulator itself (per-benchmark `ClosedLoop::run` throughput,
-//! serial and 16-thread), a whole closed-loop sweep (serial and
-//! parallel, checking the results stay bit-identical), the batch
-//! execution layer (each lockstep 4-lane kernel against a scalar loop
-//! over the same four traces, with all-lane bit-identity verified),
-//! and the scheduler skew benchmark (the experiment runner's claim
-//! cursor on uniform, Zipf-skewed and mixed live+replay shapes —
-//! DESIGN.md §16), then writes a machine-readable report to
-//! `results/bench/perf_report.json` (override the path with
-//! `DIDT_BENCH_OUT`; refreshing the committed `BENCH_pr10.json`
-//! reference takes an explicit `DIDT_BENCH_OUT=BENCH_pr10.json`). CI
-//! runs `perf_report --smoke` on every push and diffs the smoke report
-//! against the committed reference with `bench_diff`; the headline
-//! metrics are the `fir_filter_auto` speedup over `fir_filter` at
-//! N = 1 M, K = 1024, the simulator's cycles/s against the pinned PR 4
-//! and PR 5 baselines, the batched-kernel speedups, and the sleep skew
-//! shapes' schedule efficiency against the makespan lower bound. The
-//! detected CPU feature set rides along in both the JSON and the
-//! manifest so cross-host numbers are interpretable.
+//! Times per-cycle monitor throughput (naive lag walk vs the
+//! block-evaluated full-convolution and db4 family FIRs vs the biquad
+//! recurrence), the DWT engine (filter-generic `dwt_boundary_into`
+//! against the legacy Haar kernel — the generic path must stay within
+//! timing noise), the cycle simulator itself (per-benchmark
+//! `ClosedLoop::run` throughput, serial and 16-thread), a whole
+//! closed-loop sweep (serial and parallel, checking the results stay
+//! bit-identical), the batch execution layer (each lockstep 4-lane
+//! kernel against a scalar loop over the same four traces, with
+//! all-lane bit-identity verified), and the scheduler skew benchmark
+//! (the experiment runner's claim cursor on uniform, Zipf-skewed and
+//! mixed live+replay shapes — DESIGN.md §16), then writes a
+//! machine-readable report to `results/bench/perf_report.json`
+//! (override the path with `DIDT_BENCH_OUT`; refreshing the committed
+//! `BENCH_pr10.json` reference takes an explicit
+//! `DIDT_BENCH_OUT=BENCH_pr10.json`). CI runs `perf_report --smoke` on
+//! every push and diffs the smoke report against the committed
+//! reference with `bench_diff`; the gated metrics are the monitors'
+//! speedups over the naive lag walk, the simulator's cycles/s, the
+//! batched-kernel speedups, and the sleep skew shapes' schedule
+//! efficiency against the makespan lower bound. The detected CPU
+//! feature set rides along in both the JSON and the manifest so
+//! cross-host numbers are interpretable.
 //!
 //! Like every experiment binary it also emits a run manifest — but all
 //! wall-clock figures live only in the BENCH JSON, never in manifest
@@ -39,23 +37,17 @@ use didt_bench::{
 use didt_core::characterize::{EmergencyEstimator, VarianceModel};
 use didt_core::control::{ClosedLoop, ClosedLoopConfig, NoControl};
 use didt_core::monitor::{
-    BiquadMonitor, BiquadMonitorBatch, CycleSense, FullConvolutionMonitor, HistoryRing,
-    VoltageMonitor,
+    BiquadMonitor, CycleSense, FullConvolutionMonitor, HistoryRing, VoltageMonitor,
 };
 use didt_dsp::wavelet::Haar;
 use didt_dsp::{
-    conv_crossover_taps, cpu_features, dwt_boundary_into, dwt_into, dwt_into_batch, fir_filter,
-    fir_filter_auto, fir_filter_time, fir_filter_time_batch, lag1_correlation_batch, mean_batch,
+    cpu_features, dwt_boundary_into, dwt_into, dwt_into_batch, lag1_correlation_batch, mean_batch,
     variance_batch, BatchDecomposition, BatchDwtScratch, BoundaryMode, DwtScratch, TraceBatch,
     WaveletDecomposition, WaveletFamily, DEFAULT_LANES,
 };
 use didt_stats::{lag_correlation, mean, variance};
 use didt_telemetry::{discover_git_sha, write_bench_report, Json};
 use didt_uarch::Benchmark;
-
-/// The headline shape of the acceptance criterion: offline trace
-/// convolution at one million samples through a 1024-tap response.
-const HEADLINE: (usize, usize) = (1 << 20, 1024);
 
 /// Serial `ClosedLoop::run` throughput of the PR 4 simulator on the
 /// standard config, in cycles/s — measured with this same harness on the
@@ -135,15 +127,6 @@ struct SimRow {
     serial_ms: f64,
 }
 
-/// One timed kernel shape.
-struct KernelRow {
-    n: usize,
-    k: usize,
-    ref_ms: f64,
-    auto_ms: f64,
-    tier: &'static str,
-}
-
 /// One batched-kernel grid row: the lockstep 4-lane kernel against a
 /// scalar loop over the same four traces.
 struct BatchRow {
@@ -163,70 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut exp = Experiment::start("perf_report");
 
     // ------------------------------------------------------------------
-    // 1. Kernel grid: fir_filter (reference) vs fir_filter_auto.
-    // ------------------------------------------------------------------
-    let shapes: Vec<(usize, usize)> = if smoke {
-        // Reduced grid, but the headline shape is non-negotiable.
-        vec![(1 << 16, 64), (1 << 16, 1024), HEADLINE]
-    } else {
-        let mut v = Vec::new();
-        for &n in &[1_000usize, 1 << 13, 1 << 16, 1 << 20] {
-            for &k in &[16usize, 64, 256, 1024, 4096] {
-                if k <= n {
-                    v.push((n, k));
-                }
-            }
-        }
-        v
-    };
-    let crossover = conv_crossover_taps();
-    println!("measured time-domain/FFT crossover: {crossover} taps\n");
-    let mut t = TextTable::new(&["n", "k", "ref ms", "auto ms", "speedup", "tier"]);
-    let mut rows: Vec<KernelRow> = Vec::new();
-    for &(n, k) in &shapes {
-        let x: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.37).sin() * 20.0 + 40.0)
-            .collect();
-        let h: Vec<f64> = (0..k).map(|i| 0.995f64.powi(i as i32) * 0.01).collect();
-        // Rep counts sized so small shapes aren't noise-dominated while
-        // the 1 M-sample reference row stays affordable.
-        let reps = if n * k > 1 << 26 { 1 } else { 5 };
-        let ref_ms = best_ms(reps, || fir_filter(&x, &h));
-        let auto_ms = best_ms(reps.max(3), || fir_filter_auto(&x, &h));
-        let tier = if k > crossover && n >= 4 * k {
-            "fft"
-        } else {
-            "time"
-        };
-        t.row_owned(vec![
-            n.to_string(),
-            k.to_string(),
-            format!("{ref_ms:.3}"),
-            format!("{auto_ms:.3}"),
-            format!("{:.1}x", ref_ms / auto_ms),
-            tier.to_string(),
-        ]);
-        rows.push(KernelRow {
-            n,
-            k,
-            ref_ms,
-            auto_ms,
-            tier,
-        });
-    }
-    println!("{}", t.render());
-    let headline = rows
-        .iter()
-        .find(|r| (r.n, r.k) == HEADLINE)
-        .expect("headline shape always measured");
-    let headline_speedup = headline.ref_ms / headline.auto_ms;
-    println!(
-        "headline: fir_filter_auto at n = {}, k = {}: {:.1}x over fir_filter\n",
-        headline.n, headline.k, headline_speedup
-    );
-
-    // ------------------------------------------------------------------
-    // 2. Monitor throughput: cycles/s of the closed-loop droop paths.
+    // 1. Monitor throughput: cycles/s of the closed-loop droop paths.
     // ------------------------------------------------------------------
     let ctx = SweepContext::standard()?;
     let pdn = ctx.pdn(150.0)?;
@@ -307,7 +227,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", mt.render());
 
     // ------------------------------------------------------------------
-    // 3. DWT engine: the filter-generic periodic path against the
+    // 2. DWT engine: the filter-generic periodic path against the
     //    legacy Haar kernel on the monitor-window hot shape. The two
     //    share `dwt_core`'s periodic arm, so the generic engine must
     //    stay within timing noise of the pre-family throughput.
@@ -383,7 +303,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // 4. Simulator throughput: per-benchmark `ClosedLoop::run` cycles/s,
+    // 3. Simulator throughput: per-benchmark `ClosedLoop::run` cycles/s,
     //    serial and on a 16-thread pool. The serial aggregate against
     //    the pinned PR 4 baseline is this PR's headline.
     // ------------------------------------------------------------------
@@ -470,7 +390,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // 5. Whole-sweep wall clock, serial vs parallel, results compared.
+    // 4. Whole-sweep wall clock, serial vs parallel, results compared.
     // ------------------------------------------------------------------
     let run = if smoke {
         RunParams {
@@ -533,17 +453,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     exp.points(&serial_results, &serial_times);
     exp.cache(&ctx);
     // Deterministic facts only — wall clocks stay out of the manifest.
-    exp.golden("kernel_shapes", rows.len() as f64);
     exp.golden("sim_benchmarks", sim_rows.len() as f64);
     exp.golden("sweep_points", points.len() as f64);
     exp.golden("serial_parallel_identical", f64::from(u8::from(identical)));
 
     // ------------------------------------------------------------------
-    // 6. Batch kernels: each lockstep 4-lane kernel against a scalar
-    //    loop over the same four traces. Speedups come from SIMD lanes
-    //    (and, for the biquad recursion, from converting dependency-
-    //    chain stalls into lane throughput); every row also verifies
-    //    that *all* lanes are bitwise equal to the scalar kernel.
+    // 5. Batch kernels: each lockstep 4-lane kernel against a scalar
+    //    loop over the same four traces. Speedups come from SIMD lanes;
+    //    every row also verifies that *all* lanes are bitwise equal to
+    //    the scalar kernel.
     // ------------------------------------------------------------------
     const LANES: usize = DEFAULT_LANES;
     let features = cpu_features();
@@ -559,39 +477,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect()
     };
 
-    // 6a. Blocked time-domain FIR.
-    {
-        let n = if smoke { 1 << 14 } else { 1 << 16 };
-        let k = 64usize;
-        let traces = lane_traces(n);
-        let refs: Vec<&[f64]> = traces.iter().map(Vec::as_slice).collect();
-        let h: Vec<f64> = (0..k).map(|i| 0.995f64.powi(i as i32) * 0.01).collect();
-        let tb = TraceBatch::<LANES>::from_traces(&refs).expect("fir batch");
-        let scalar_ms = best_ms(5, || {
-            refs.iter()
-                .map(|x| fir_filter_time(x, &h))
-                .collect::<Vec<_>>()
-        });
-        let batch_ms = best_ms(5, || fir_filter_time_batch(&tb, &h));
-        let out = fir_filter_time_batch(&tb, &h);
-        let bit_identical = refs.iter().enumerate().all(|(l, x)| {
-            let want = fir_filter_time(x, &h);
-            out.lane(l)
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-        batch_rows.push(BatchRow {
-            kernel: "fir_time_64tap",
-            unit: "samples",
-            work: (LANES * n) as f64,
-            scalar_ms,
-            batch_ms,
-            bit_identical,
-        });
-    }
-
-    // 6b. Periodic Haar pyramid on the monitor-window hot shape.
+    // 5a. Periodic Haar pyramid on the monitor-window hot shape.
     {
         let traces = lane_traces(dwt_window);
         let refs: Vec<&[f64]> = traces.iter().map(Vec::as_slice).collect();
@@ -670,68 +556,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // 6c. Biquad droop recursion: the latency-bound scalar chain turned
-    //     into lane throughput — the banner batched row.
-    {
-        let mut scalar_monitors: Vec<BiquadMonitor> =
-            (0..LANES).map(|_| BiquadMonitor::new(&pdn, 3)).collect();
-        let mut bank = BiquadMonitorBatch::<LANES>::new(&pdn, 3);
-        let scalar_ms = best_ms(3, || {
-            let mut acc = 0.0;
-            for c in 0..cycles {
-                for (l, m) in scalar_monitors.iter_mut().enumerate() {
-                    acc += m.observe(CycleSense {
-                        current: current(c) + l as f64,
-                        voltage: 1.0,
-                    });
-                }
-            }
-            acc
-        });
-        let batch_ms = best_ms(3, || {
-            let mut acc = 0.0;
-            for c in 0..cycles {
-                let mut currents = [0.0; LANES];
-                for (l, x) in currents.iter_mut().enumerate() {
-                    *x = current(c) + l as f64;
-                }
-                let est = bank.observe(currents);
-                for e in est {
-                    acc += e;
-                }
-            }
-            acc
-        });
-        // Fresh state for the bitwise check (the timed monitors carry
-        // warm filter state).
-        let mut fresh_scalars: Vec<BiquadMonitor> =
-            (0..LANES).map(|_| BiquadMonitor::new(&pdn, 3)).collect();
-        let mut fresh_bank = BiquadMonitorBatch::<LANES>::new(&pdn, 3);
-        let bit_identical = (0..2_000).all(|c| {
-            let mut currents = [0.0; LANES];
-            for (l, x) in currents.iter_mut().enumerate() {
-                *x = current(c) + l as f64;
-            }
-            let est = fresh_bank.observe(currents);
-            fresh_scalars.iter_mut().enumerate().all(|(l, m)| {
-                let want = m.observe(CycleSense {
-                    current: currents[l],
-                    voltage: 1.0,
-                });
-                est[l].to_bits() == want.to_bits()
-            })
-        });
-        batch_rows.push(BatchRow {
-            kernel: "biquad_droop",
-            unit: "cycles",
-            work: (LANES * cycles) as f64,
-            scalar_ms,
-            batch_ms,
-            bit_identical,
-        });
-    }
-
-    // 6d. Window moment pass (mean / variance / lag-1 correlation).
+    // 5b. Window moment pass (mean / variance / lag-1 correlation).
     {
         let traces = lane_traces(dwt_window);
         let refs: Vec<&[f64]> = traces.iter().map(Vec::as_slice).collect();
@@ -776,7 +601,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // 6e. The characterization sweep itself: `estimate_trace` (the PR 5
+    // 5c. The characterization sweep itself: `estimate_trace` (the PR 5
     //     scalar tiling) against `estimate_trace_batch` over a long
     //     trace — the sweep-throughput row the serve and bench hot
     //     paths actually run.
@@ -844,7 +669,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // 7. Scheduler skew benchmark: the runner's claim cursor on three
+    // 6. Scheduler skew benchmark: the runner's claim cursor on three
     //    shapes (DESIGN.md §16). The synthetic shapes sleep for their
     //    hinted cost, so the wall clock isolates scheduling and can be
     //    held against the makespan lower bound; the mixed shape re-runs
@@ -893,7 +718,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     };
 
-    // 7a. Uniform grid: every point costs the same, so the bound is
+    // 6a. Uniform grid: every point costs the same, so the bound is
     //     the per-worker share of the total.
     let uniform_costs: Vec<u64> = if smoke {
         vec![250; 64]
@@ -902,7 +727,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     run_sleep_shape("uniform", &uniform_costs, CostClass::Uniform);
 
-    // 7b. Zipf-skewed costs: the heaviest point alone bounds the
+    // 6b. Zipf-skewed costs: the heaviest point alone bounds the
     //     makespan, so the schedule must start it first and fill the
     //     other workers with the tail around it.
     let (zipf_n, zipf_k) = if smoke {
@@ -913,7 +738,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let zipf_costs: Vec<u64> = (0..zipf_n).map(|i| zipf_k / (i as u64 + 1)).collect();
     run_sleep_shape("zipf", &zipf_costs, CostClass::Hinted(sleep_cost));
 
-    // 7c. Mixed live + replay sweep: real compute, ragged costs. Live
+    // 6c. Mixed live + replay sweep: real compute, ragged costs. Live
     //     points are hinted by instruction count, replay points by
     //     record count. The hints are proxies, not times, so there is
     //     no lower bound and no efficiency gate; results must stay
@@ -1062,7 +887,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     exp.golden("skew_identical", f64::from(u8::from(skew_identical)));
 
     // ------------------------------------------------------------------
-    // 8. The BENCH JSON report.
+    // 7. The BENCH JSON report.
     // ------------------------------------------------------------------
     // Hardware facts are deterministic on a given host, so they may
     // live in the manifest (unlike wall clocks); the CI double-smoke
@@ -1081,36 +906,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("git_sha", discover_git_sha().map_or(Json::Null, Json::str)),
         ("smoke", Json::Bool(smoke)),
         ("cpu_features", Json::str(features)),
-        ("crossover_taps", Json::Num(crossover as f64)),
-        (
-            "kernels",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("n", Json::Num(r.n as f64)),
-                            ("k", Json::Num(r.k as f64)),
-                            ("fir_filter_ms", Json::Num(r.ref_ms)),
-                            ("fir_filter_auto_ms", Json::Num(r.auto_ms)),
-                            ("speedup", Json::Num(r.ref_ms / r.auto_ms)),
-                            ("tier", Json::str(r.tier)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "headline",
-            Json::obj(vec![
-                ("n", Json::Num(headline.n as f64)),
-                ("k", Json::Num(headline.k as f64)),
-                ("fir_filter_ms", Json::Num(headline.ref_ms)),
-                ("fir_filter_auto_ms", Json::Num(headline.auto_ms)),
-                ("speedup", Json::Num(headline_speedup)),
-                ("target", Json::Num(10.0)),
-                ("meets_target", Json::Bool(headline_speedup >= 10.0)),
-            ]),
-        ),
         (
             "monitors",
             Json::obj(vec![

@@ -1,12 +1,9 @@
-//! Discrete Fourier analysis: radix-2 FFT and power spectra.
+//! Complex arithmetic for frequency-domain PDN analysis.
 //!
-//! The paper contrasts wavelet analysis with Fourier analysis (§2): the
-//! DFT's coefficients describe *global* frequency behaviour while the
-//! DWT's are time-localized. This module provides the Fourier side of
-//! that comparison, and is also used to validate the PDN model's
-//! frequency response against its analytic impedance curve.
-
-use crate::DspError;
+//! The paper contrasts wavelet analysis with Fourier analysis (§2); in
+//! this repository the frequency domain appears only in the PDN model,
+//! whose impedance `Z(jω)` is evaluated analytically with [`Complex`]
+//! (`didt-pdn`'s `SecondOrderPdn::impedance_at` and the two-stage model).
 
 /// A complex number (cartesian form), minimal and `Copy`.
 ///
@@ -31,15 +28,6 @@ impl Complex {
     #[must_use]
     pub fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
-    }
-
-    /// The complex exponential `e^{iθ}`.
-    #[must_use]
-    pub fn from_polar_unit(theta: f64) -> Self {
-        Complex {
-            re: theta.cos(),
-            im: theta.sin(),
-        }
     }
 
     /// Magnitude `|z|`.
@@ -113,277 +101,9 @@ impl std::ops::Div for Complex {
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT of a real signal.
-///
-/// Returns the full complex spectrum `X[n] = Σ x[t] e^{-2πi nt/N}`
-/// (paper equation 1).
-///
-/// # Errors
-///
-/// Returns [`DspError::BadLength`] unless `signal.len()` is a nonzero
-/// power of two.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), didt_dsp::DspError> {
-/// // A pure cosine concentrates its energy in two bins.
-/// let n = 64;
-/// let s: Vec<f64> = (0..n)
-///     .map(|t| (2.0 * std::f64::consts::PI * 4.0 * t as f64 / n as f64).cos())
-///     .collect();
-/// let spec = didt_dsp::fft(&s)?;
-/// assert!((spec[4].norm() - n as f64 / 2.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn fft(signal: &[f64]) -> Result<Vec<Complex>, DspError> {
-    let plan = FftPlan::new(signal.len())?;
-    let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    plan.forward(&mut buf);
-    Ok(buf)
-}
-
-/// Inverse FFT, returning a complex time series (imaginary parts are
-/// round-off for spectra of real signals).
-///
-/// # Errors
-///
-/// Returns [`DspError::BadLength`] unless the spectrum length is a
-/// nonzero power of two.
-pub fn ifft(spectrum: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    let plan = FftPlan::new(spectrum.len())?;
-    let mut buf = spectrum.to_vec();
-    plan.inverse(&mut buf);
-    Ok(buf)
-}
-
-/// A planned radix-2 FFT of one fixed size: the twiddle factors are
-/// computed once at construction, so repeated transforms of the same
-/// length (the overlap-save convolution engine runs thousands per
-/// sweep) pay no per-call trigonometry and no per-call allocation.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), didt_dsp::DspError> {
-/// use didt_dsp::{Complex, FftPlan};
-///
-/// let plan = FftPlan::new(8)?;
-/// let mut buf = vec![Complex::default(); 8];
-/// buf[0] = Complex::new(1.0, 0.0);
-/// plan.forward(&mut buf);
-/// for z in &buf {
-///     assert!((z.norm() - 1.0).abs() < 1e-12); // flat impulse spectrum
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct FftPlan {
-    n: usize,
-    /// Forward twiddles `e^{-2πik/n}` for `k < n/2`; the inverse pass
-    /// conjugates on the fly.
-    twiddles: Vec<Complex>,
-}
-
-impl FftPlan {
-    /// Plan a transform of length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::BadLength`] unless `n` is a nonzero power of
-    /// two.
-    pub fn new(n: usize) -> Result<Self, DspError> {
-        if n == 0 || !n.is_power_of_two() {
-            return Err(DspError::BadLength {
-                len: n,
-                requirement: "FFT length must be a nonzero power of two",
-            });
-        }
-        let twiddles = (0..n / 2)
-            .map(|k| Complex::from_polar_unit(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        Ok(FftPlan { n, twiddles })
-    }
-
-    /// The planned transform length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` for the degenerate length-1 plan.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// In-place forward DFT: `X[k] = Σ x[t] e^{-2πikt/N}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the planned length.
-    pub fn forward(&self, buf: &mut [Complex]) {
-        self.process(buf, false);
-    }
-
-    /// In-place inverse DFT including the `1/N` scaling, so
-    /// `inverse(forward(x)) == x` up to round-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the planned length.
-    pub fn inverse(&self, buf: &mut [Complex]) {
-        self.process(buf, true);
-        let scale = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = *z * scale;
-        }
-    }
-
-    /// In-place inverse DFT *without* the `1/N` scaling — callers that
-    /// fold the scaling into precomputed spectra (the convolution
-    /// engine scales the kernel spectrum once) skip N multiplies per
-    /// block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the planned length.
-    pub fn inverse_unscaled(&self, buf: &mut [Complex]) {
-        self.process(buf, true);
-    }
-
-    fn process(&self, buf: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        assert_eq!(buf.len(), n, "buffer length must match the planned FFT");
-        // Bit-reversal permutation.
-        let bits = n.trailing_zeros();
-        if bits > 0 {
-            for i in 0..n {
-                let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-                if j > i {
-                    buf.swap(i, j);
-                }
-            }
-        }
-        let mut len = 2;
-        while len <= n {
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..len / 2 {
-                    let w = if inverse {
-                        self.twiddles[k * stride].conj()
-                    } else {
-                        self.twiddles[k * stride]
-                    };
-                    let u = buf[start + k];
-                    let v = buf[start + k + len / 2] * w;
-                    buf[start + k] = u + v;
-                    buf[start + k + len / 2] = u - v;
-                }
-            }
-            len <<= 1;
-        }
-    }
-}
-
-/// One-sided power spectrum of a real signal: `|X[k]|² / N` for
-/// `k = 0..=N/2`.
-///
-/// # Errors
-///
-/// Same conditions as [`fft`].
-pub fn power_spectrum(signal: &[f64]) -> Result<Vec<f64>, DspError> {
-    let spec = fft(signal)?;
-    let n = signal.len();
-    Ok(spec[..=n / 2]
-        .iter()
-        .map(|z| z.norm_sq() / n as f64)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fft_of_impulse_is_flat() {
-        let mut s = vec![0.0; 16];
-        s[0] = 1.0;
-        let spec = fft(&s).unwrap();
-        for z in spec {
-            assert!((z.norm() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fft_of_constant_is_dc_only() {
-        let spec = fft(&[2.0; 8]).unwrap();
-        assert!((spec[0].norm() - 16.0).abs() < 1e-12);
-        for z in &spec[1..] {
-            assert!(z.norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fft_matches_naive_dft() {
-        let s: Vec<f64> = (0..32).map(|i| ((i * 7 % 11) as f64) - 3.0).collect();
-        let fast = fft(&s).unwrap();
-        // Naive O(N²) DFT for cross-checking.
-        let n = s.len();
-        for (k, z) in fast.iter().enumerate() {
-            let mut acc = Complex::default();
-            for (t, &x) in s.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
-                acc = acc + Complex::from_polar_unit(ang) * x;
-            }
-            assert!((acc - *z).norm() < 1e-9, "bin {k}");
-        }
-    }
-
-    #[test]
-    fn ifft_roundtrip() {
-        let s: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() * 5.0).collect();
-        let spec = fft(&s).unwrap();
-        let back = ifft(&spec).unwrap();
-        for (a, b) in s.iter().zip(&back) {
-            assert!((a - b.re).abs() < 1e-9);
-            assert!(b.im.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_rejects_non_power_of_two() {
-        assert!(fft(&[1.0; 12]).is_err());
-        assert!(fft(&[]).is_err());
-    }
-
-    #[test]
-    fn parseval_for_fft() {
-        let s: Vec<f64> = (0..128).map(|i| (i as f64 * 0.11).cos()).collect();
-        let time_energy: f64 = s.iter().map(|x| x * x).sum();
-        let spec = fft(&s).unwrap();
-        let freq_energy: f64 = spec.iter().map(|z| z.norm_sq()).sum::<f64>() / s.len() as f64;
-        assert!((time_energy - freq_energy).abs() < 1e-8);
-    }
-
-    #[test]
-    fn power_spectrum_peak_at_tone() {
-        let n = 256;
-        let f = 17;
-        let s: Vec<f64> = (0..n)
-            .map(|t| (2.0 * std::f64::consts::PI * f as f64 * t as f64 / n as f64).sin())
-            .collect();
-        let ps = power_spectrum(&s).unwrap();
-        let peak = ps
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(peak, f);
-    }
 
     #[test]
     fn complex_arithmetic() {

@@ -22,15 +22,14 @@
 //!   (paper §4.1, step 2).
 //! * [`scalogram`] — scalogram visualisation of detail coefficients
 //!   (paper Figure 4).
-//! * [`fourier`] — radix-2 FFT and power spectra, for the Fourier-vs-
-//!   wavelet comparisons of paper §2.
-//! * [`convolution`] — the tiered convolution engine behind paper
-//!   equation 6: O(N·K) reference kernels, a cache-blocked time-domain
-//!   tier, FFT overlap-save ([`ConvScratch`]), and the measured-crossover
-//!   auto dispatcher [`fir_filter_auto`].
-//! * [`batch`] — lockstep multi-trace variants of the hot kernels over
-//!   struct-of-arrays [`TraceBatch`] lanes, every lane bit-identical to
-//!   the scalar path (opt-in AVX2 behind runtime feature detection).
+//! * [`fourier`] — the [`Complex`] type the PDN impedance model
+//!   evaluates `Z(jω)` with.
+//! * [`convolution`] — paper equation 6 as the O(N·K) reference loops
+//!   [`fir_filter`] and [`convolve_full`].
+//! * [`batch`] — lockstep multi-trace variants of the DWT pyramid and
+//!   the window statistics over struct-of-arrays [`TraceBatch`] lanes,
+//!   every lane bit-identical to the scalar path (AVX2 behind runtime
+//!   feature detection).
 //!
 //! # Examples
 //!
@@ -64,16 +63,13 @@ pub mod wavelet;
 mod error;
 
 pub use batch::{
-    batch_enabled, cpu_features, dwt_into_batch, effective_lanes, fir_filter_time_batch,
-    lag1_correlation_batch, mean_batch, note_scalar_fallback, variance_batch, BatchDecomposition,
-    BatchDwtScratch, TraceBatch, BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
+    batch_enabled, cpu_features, dwt_into_batch, lag1_correlation_batch, mean_batch,
+    note_scalar_fallback, variance_batch, BatchDecomposition, BatchDwtScratch, TraceBatch,
+    BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
 };
-pub use convolution::{
-    conv_crossover_taps, convolve_fft, convolve_full, fir_filter, fir_filter_auto, fir_filter_fast,
-    fir_filter_time, measure_crossover, ConvScratch,
-};
+pub use convolution::{convolve_full, fir_filter};
 pub use error::DspError;
-pub use fourier::{fft, ifft, power_spectrum, Complex, FftPlan};
+pub use fourier::Complex;
 pub use packet::{wavelet_packet, WaveletPacket};
 pub use scalogram::Scalogram;
 pub use streaming::{StreamCoefficient, StreamingHaar};

@@ -229,10 +229,15 @@ fn worker_disconnect_mid_request_reroutes_without_loss() {
     fake_handle.join().expect("fake worker thread");
 }
 
-#[test]
-fn sessions_die_with_their_owner_not_the_connection() {
-    let worker = start_worker();
-    let router = quiet_router(vec![worker.local_addr().to_string()]);
+/// Open a session on `router`'s only worker, kill the worker, let
+/// `after_death` run, then check that a follow-up to the session and
+/// new shardable work both answer `unavailable` while the router
+/// connection stays in sync.
+fn session_follow_up_after_owner_death(
+    router: Router,
+    worker: Server,
+    after_death: impl FnOnce(&Router),
+) {
     let mut client = Client::connect(router.local_addr()).expect("connect");
 
     let session = client
@@ -249,6 +254,7 @@ fn sessions_die_with_their_owner_not_the_connection() {
     // The owner dies; streaming state is not idempotent, so follow-ups
     // must fail structured — never silently retried elsewhere.
     assert_eq!(worker.shutdown().worker_panics, 0);
+    after_death(&router);
     match client.session_push(session, vec![1.0; 8]) {
         Err(ClientError::Server {
             code: ErrorCode::Unavailable,
@@ -269,4 +275,36 @@ fn sessions_die_with_their_owner_not_the_connection() {
 
     drop(client);
     let _ = router.shutdown();
+}
+
+#[test]
+fn sessions_die_with_their_owner_not_the_connection() {
+    let worker = start_worker();
+    let router = quiet_router(vec![worker.local_addr().to_string()]);
+    session_follow_up_after_owner_death(router, worker, |_| {});
+}
+
+/// The same contract when the health prober notices the death before
+/// the follow-up does: the answer must not depend on which thread saw
+/// the worker go first.
+#[test]
+fn sessions_lost_to_the_prober_still_answer_unavailable() {
+    let worker = start_worker();
+    let mut config = RouterConfig::new(
+        "127.0.0.1:0".to_string(),
+        vec![worker.local_addr().to_string()],
+    );
+    config.probe_interval_ms = 20;
+    config.warm_on_rejoin = false;
+    let router = Router::start(config).expect("router start");
+    session_follow_up_after_owner_death(router, worker, |router| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while router.healthy_workers() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "prober never marked the worker down"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
 }

@@ -1,19 +1,15 @@
-//! Cross-crate contracts of the fast convolution engine (PR 3).
+//! Cross-crate contracts of the per-cycle droop monitors: the
+//! block-evaluated full-convolution monitor (paper equation 6 evaluated
+//! every cycle) and the biquad recurrence.
 //!
-//! The engine promises two different strengths of equivalence and this
-//! suite pins both at the system level:
-//!
-//! * **Bitwise** — the full-convolution monitor's block evaluation and
-//!   the biquad monitor feed golden-number sweeps, so they must
-//!   reproduce the historic arithmetic exactly, and sweeps using them
-//!   must stay serial≡parallel bit-identical.
-//! * **Tolerance (1e-9)** — `fir_filter_auto` may reassociate sums or
-//!   go through the frequency domain, so offline trace convolution is
-//!   pinned to the reference within round-off only.
+//! Both monitors feed golden-number sweeps, so they must reproduce the
+//! historic arithmetic exactly — bit for bit on real captured workload
+//! traces — and sweeps using them must stay serial≡parallel
+//! bit-identical. (Offline equation-6 checks against the O(N·K)
+//! reference `fir_filter` live with the PDN models.)
 
 use didt_bench::{ControllerSpec, ExperimentRunner, RunParams, Sweep, SweepContext, SweepPoint};
 use didt_core::monitor::{BiquadMonitor, CycleSense, FullConvolutionMonitor, VoltageMonitor};
-use didt_dsp::{fir_filter, fir_filter_auto};
 use didt_uarch::{capture_trace, Benchmark};
 
 const RUN: RunParams = RunParams {
@@ -113,31 +109,6 @@ fn biquad_monitor_is_exact_on_real_trace() {
             voltage: v,
         });
         assert_eq!(est.to_bits(), v.to_bits());
-    }
-}
-
-/// Offline trace convolution through the auto-dispatched engine agrees
-/// with the O(N·K) reference within 1e-9 on a real workload trace and a
-/// real PDN impulse response (the shapes sweeps actually use).
-#[test]
-fn auto_dispatch_matches_reference_on_real_trace() {
-    let ctx = SweepContext::standard().unwrap();
-    let pdn = ctx.pdn(150.0).unwrap();
-    let trace = capture_trace(
-        Benchmark::Gzip,
-        ctx.system().processor(),
-        0xD1D7_2004,
-        5_000,
-        1 << 14,
-    );
-    for taps in [64usize, 700] {
-        let h = pdn.impulse_response(taps);
-        let fast = fir_filter_auto(&trace.samples, &h);
-        let slow = fir_filter(&trace.samples, &h);
-        assert_eq!(fast.len(), slow.len());
-        for (t, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert!((a - b).abs() < 1e-9, "taps {taps}, t = {t}: {a} vs {b}");
-        }
     }
 }
 

@@ -528,6 +528,33 @@ fn shutdown_drains_admitted_work() {
     assert_eq!(report.worker_panics, 0);
 }
 
+/// A client that sends faster than the server's read poll (a router's
+/// health prober, say) must not hold a graceful shutdown open: the
+/// connection stops reading at the next frame boundary.
+#[test]
+fn shutdown_is_not_held_open_by_a_chatty_client() {
+    let server = small_server();
+    let addr = server.local_addr();
+
+    let chatty = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        // Bounded, so a shutdown that waits for the client to go quiet
+        // fails the timing assertion below instead of hanging.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < give_up && client.ping().is_ok() {}
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    let report = server.shutdown();
+    let took = started.elapsed();
+    chatty.join().expect("client thread");
+    assert_eq!(report.worker_panics, 0);
+    assert!(
+        took < Duration::from_secs(5),
+        "shutdown waited {took:?} for a busy client"
+    );
+}
+
 /// The frame reader's buffers must stop growing after the first
 /// request of a given size on a connection: no per-request allocation
 /// growth (the reader reuses its payload scratch instead of collecting

@@ -119,6 +119,10 @@ struct WorkerSlot {
     addr: String,
     healthy: AtomicBool,
     in_flight: AtomicU64,
+    /// Bumped by every [`mark_down`]. A worker's session ids restart at
+    /// 1 when it restarts, so a session route is only valid in the
+    /// epoch its open was forwarded in.
+    epoch: AtomicU64,
     pool: Mutex<Vec<WorkerConn>>,
 }
 
@@ -126,6 +130,16 @@ struct WorkerSlot {
 struct SessionRoute {
     worker: usize,
     remote: u64,
+    /// The owner's [`WorkerSlot::epoch`] when the open was forwarded.
+    epoch: u64,
+}
+
+impl SessionRoute {
+    /// `false` once the owner has gone down since the session opened.
+    fn is_live(&self, shared: &Shared) -> bool {
+        let slot = &shared.slots[self.worker];
+        slot.healthy.load(Ordering::SeqCst) && slot.epoch.load(Ordering::SeqCst) == self.epoch
+    }
 }
 
 #[derive(Default)]
@@ -201,6 +215,7 @@ impl Router {
                 addr: addr.clone(),
                 healthy: AtomicBool::new(false),
                 in_flight: AtomicU64::new(0),
+                epoch: AtomicU64::new(0),
                 pool: Mutex::new(Vec::new()),
             })
             .collect();
@@ -434,6 +449,9 @@ fn forward_sharded(shared: &Arc<Shared>, request: &Request, key: u64) -> Respons
                 slot.in_flight.load(Ordering::SeqCst),
             );
         }
+        // Read before forwarding: a death that races the open leaves
+        // the route stale rather than valid for the restarted worker.
+        let epoch = slot.epoch.load(Ordering::SeqCst);
         match forward_once(shared, w, request) {
             Ok(response) => {
                 shared.stats.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -443,7 +461,7 @@ fn forward_sharded(shared: &Arc<Shared>, request: &Request, key: u64) -> Respons
                     metrics.counter("serve.router.rerouted").add(hops);
                 }
                 if matches!(request.body, RequestBody::SessionOpen(_)) {
-                    return adopt_session(shared, request.id, w, response);
+                    return adopt_session(shared, request.id, w, epoch, response);
                 }
                 return response;
             }
@@ -460,19 +478,25 @@ fn forward_sharded(shared: &Arc<Shared>, request: &Request, key: u64) -> Respons
 }
 
 /// Pin a session follow-up to the worker that owns the session.
+///
+/// A session whose owner went down answers `unavailable` whichever
+/// thread noticed the death first: [`mark_down`] only bumps the owner's
+/// epoch, and the stale route is dropped here, on its next follow-up.
 fn forward_session_follow_up(shared: &Arc<Shared>, request: &Request, session: u64) -> Response {
     let route = {
         let sessions = shared.sessions.lock().expect("sessions poisoned");
-        sessions.get(&session).map(|r| (r.worker, r.remote))
+        sessions
+            .get(&session)
+            .map(|r| (r.worker, r.remote, r.is_live(shared)))
     };
-    let Some((worker, remote)) = route else {
+    let Some((worker, remote, live)) = route else {
         return Response::error(
             request.id,
             ErrorCode::SessionNotFound,
             format!("session {session} is not open on this router"),
         );
     };
-    if !shared.slots[worker].healthy.load(Ordering::SeqCst) {
+    if !live {
         shared
             .sessions
             .lock()
@@ -513,6 +537,11 @@ fn forward_session_follow_up(shared: &Arc<Shared>, request: &Request, session: u
             // The streaming state died with the worker; a session
             // follow-up is not idempotent, so no failover retry.
             mark_down(shared, worker);
+            shared
+                .sessions
+                .lock()
+                .expect("sessions poisoned")
+                .remove(&session);
             shared.stats.unavailable.fetch_add(1, Ordering::Relaxed);
             Response::error(
                 request.id,
@@ -523,9 +552,16 @@ fn forward_session_follow_up(shared: &Arc<Shared>, request: &Request, session: u
     }
 }
 
-/// On a successful `SessionOpen`, record the route and swap the
-/// worker-local session id for a router-scoped one.
-fn adopt_session(shared: &Arc<Shared>, id: u64, worker: usize, response: Response) -> Response {
+/// On a successful `SessionOpen` forwarded to `worker` in `epoch`,
+/// record the route and swap the worker-local session id for a
+/// router-scoped one.
+fn adopt_session(
+    shared: &Arc<Shared>,
+    id: u64,
+    worker: usize,
+    epoch: u64,
+    response: Response,
+) -> Response {
     let ResponsePayload::Ok { kind, result } = response.payload else {
         return response;
     };
@@ -537,11 +573,14 @@ fn adopt_session(shared: &Arc<Shared>, id: u64, worker: usize, response: Respons
         );
     };
     let router_session = shared.next_session.fetch_add(1, Ordering::SeqCst);
-    shared
-        .sessions
-        .lock()
-        .expect("sessions poisoned")
-        .insert(router_session, SessionRoute { worker, remote });
+    shared.sessions.lock().expect("sessions poisoned").insert(
+        router_session,
+        SessionRoute {
+            worker,
+            remote,
+            epoch,
+        },
+    );
     shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
     MetricsRegistry::global()
         .counter("serve.router.sessions.opened")
@@ -609,7 +648,13 @@ fn router_stats(shared: &Arc<Shared>) -> Json {
             ])
         })
         .collect();
-    let sessions_open = shared.sessions.lock().expect("sessions poisoned").len();
+    let sessions_open = shared
+        .sessions
+        .lock()
+        .expect("sessions poisoned")
+        .values()
+        .filter(|route| route.is_live(shared))
+        .count();
     Json::obj(vec![
         ("role", Json::str("router")),
         ("protocol_version", Json::num(PROTOCOL_VERSION as f64)),
@@ -739,18 +784,16 @@ fn checkin(slot: &WorkerSlot, conn: WorkerConn) {
 }
 
 /// Mark worker `w` unhealthy: bump the route-table version, drop its
-/// pooled connections, and orphan every session it owned (follow-ups
-/// answer `unavailable` / `session_not_found` instead of hanging).
+/// pooled connections, and bump its epoch, which orphans every session
+/// it owned (follow-ups answer `unavailable` instead of hanging, and
+/// never reach a restarted worker's sessions).
 fn mark_down(shared: &Arc<Shared>, w: usize) {
-    if shared.slots[w].healthy.swap(false, Ordering::SeqCst) {
+    let slot = &shared.slots[w];
+    if slot.healthy.swap(false, Ordering::SeqCst) {
         shared.stats.route_version.fetch_add(1, Ordering::Relaxed);
     }
-    shared.slots[w].pool.lock().expect("pool poisoned").clear();
-    shared
-        .sessions
-        .lock()
-        .expect("sessions poisoned")
-        .retain(|_, route| route.worker != w);
+    slot.epoch.fetch_add(1, Ordering::SeqCst);
+    slot.pool.lock().expect("pool poisoned").clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -331,7 +331,10 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let writer: ConnWriter = Arc::new(Mutex::new(write_half));
     let mut reader = FrameReader::new(stream);
     let stats = shared.service.stats();
-    loop {
+    // The flag is checked before every frame, not only when a read
+    // times out: a client that sends more often than READ_POLL (a
+    // router's health prober, say) must not hold shutdown open.
+    while !shared.shutdown.load(Ordering::SeqCst) {
         let mut should_abort = || shared.shutdown.load(Ordering::SeqCst);
         match reader.read_frame(shared.config.max_frame_len, &mut should_abort) {
             Ok(json) => match Request::from_json(&json) {

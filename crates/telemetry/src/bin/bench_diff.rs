@@ -117,10 +117,6 @@ const STORM_MIN_HIT_RATIO: f64 = 0.8;
 
 const METRICS: &[Metric] = &[
     Metric {
-        path: &["headline", "speedup"],
-        kind: Kind::Ratio,
-    },
-    Metric {
         path: &["monitors", "full_conv_speedup_vs_naive"],
         kind: Kind::Ratio,
     },
